@@ -36,7 +36,6 @@ use crate::{Entity, EntityId};
 /// [`token`]: CellState::token
 /// [`failed`]: CellState::failed
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellState {
     /// `Members_{i,j}`: the entities currently on this cell.
     pub members: BTreeMap<EntityId, Point>,

@@ -7,7 +7,6 @@ use cellflow_geom::{Fixed, Point, Square};
 /// The unique identifier of an entity, drawn from the paper's infinite pool
 /// `P`. Sources mint fresh identifiers in insertion order.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EntityId(pub u64);
 
 impl fmt::Display for EntityId {
@@ -28,7 +27,6 @@ impl fmt::Display for EntityId {
 /// assert_eq!(footprint.low_x(), Fixed::from_milli(375));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Entity {
     /// The entity's identifier.
     pub id: EntityId,

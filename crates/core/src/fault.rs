@@ -12,9 +12,10 @@
 //!
 //! Two fault severities go beyond the paper's polite crash flag:
 //!
-//! * [`FaultKind::HardCrash`] — the deployment actually kills the cell's
-//!   thread (state is lost until the paired [`FaultKind::Recover`] re-spawns
-//!   it from a checkpoint). The reference models it as an ordinary crash,
+//! * [`FaultKind::HardCrash`] — the deployment actually takes the cell out
+//!   of the run: it withdraws its barrier seat, and its state survives only
+//!   in the snapshot store until the paired [`FaultKind::Recover`]
+//!   re-spawns it from there. The reference models it as an ordinary crash,
 //!   which is exactly the paper's reading: a failed cell is silent and
 //!   frozen.
 //! * [`FaultKind::Kill`] — the cell vanishes *forever* and never recovers;
@@ -44,9 +45,9 @@ pub enum FaultKind {
     ///
     /// [`HardCrash`]: FaultKind::HardCrash
     Recover,
-    /// A crash that a deployment realizes by terminating the cell's thread;
-    /// the paired [`Recover`] re-spawns it. Observationally identical to
-    /// [`Crash`] in the shared-variable model.
+    /// A crash that a deployment realizes by taking the cell out of the
+    /// run; the paired [`Recover`] re-spawns it from the snapshot store.
+    /// Observationally identical to [`Crash`] in the shared-variable model.
     ///
     /// [`Crash`]: FaultKind::Crash
     /// [`Recover`]: FaultKind::Recover
@@ -544,7 +545,8 @@ pub struct CampaignSpec {
     pub blackouts: u32,
     /// Number of flapping cells (repeated crash/recover).
     pub flappers: u32,
-    /// Number of hard crashes (thread-killing, with scripted re-spawn).
+    /// Number of hard crashes (the cell leaves the run, with scripted
+    /// re-spawn).
     pub hard_crashes: u32,
     /// Number of unrecoverable kills (the run is expected to end in a
     /// timeout error; keep 0 for differential campaigns).

@@ -8,7 +8,6 @@ use crate::{EntityId, SystemConfig, SystemState};
 
 /// An entity crossing from one cell into a neighboring cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transfer {
     /// Which entity moved.
     pub entity: EntityId,

@@ -30,7 +30,6 @@ use cellflow_geom::Fixed;
 /// # Ok::<(), cellflow_core::ParamsError>(())
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Params {
     l: Fixed,
     rs: Fixed,

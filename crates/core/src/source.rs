@@ -14,7 +14,6 @@ use crate::{CellState, Params};
 
 /// Where (and whether) a source cell places newly created entities.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SourcePolicy {
     /// Insert at the edge *opposite* the cell's current `next` direction,
     /// centered on the transverse axis — as far as possible from where

@@ -34,7 +34,6 @@ use crate::{CellState, Entity, EntityId, Params, RoundEvents, SourcePolicy, Toke
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemConfig {
     dims: GridDims,
     target: CellId,
@@ -277,7 +276,6 @@ impl std::error::Error for ConfigError {}
 /// `next_entity_id` is the source's fresh-identifier counter (the paper draws
 /// identifiers from an infinite pool `P`; we mint them in order).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemState {
     /// Per-cell states, indexed row-major by [`GridDims::index`].
     pub cells: Vec<CellState>,

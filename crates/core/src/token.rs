@@ -15,7 +15,6 @@ use cellflow_grid::CellId;
 
 /// How a cell picks which neighbor in `NEPrev` receives its token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TokenPolicy {
     /// Cyclic successor in identifier order (default). Fair: with `k`
     /// contenders, each holds the token at least once every `k` grants.

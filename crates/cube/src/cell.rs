@@ -10,7 +10,6 @@ use crate::{CellId3, Point3};
 /// The state variables of one cube cell — identical in shape to the 2-D
 /// [`cellflow_core::CellState`], with 3-D identifiers and positions.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellState3 {
     /// Entities on this cell with their center positions.
     pub members: BTreeMap<EntityId, Point3>,

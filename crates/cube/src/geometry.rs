@@ -7,7 +7,6 @@ use cellflow_routing::Topology;
 
 /// One of the three coordinate axes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Axis3 {
     /// Horizontal `x`.
     X,
@@ -19,7 +18,6 @@ pub enum Axis3 {
 
 /// One of the six face directions of a cube cell.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Dir3 {
     /// `+x` (neighbor `⟨i+1, j, k⟩`).
     East,
@@ -108,7 +106,6 @@ impl fmt::Display for Dir3 {
 
 /// An exact position in 3-space, in cell-side units.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point3 {
     /// `x` coordinate.
     pub x: Fixed,
@@ -187,7 +184,6 @@ pub fn sep_ok3(p: Point3, q: Point3, d: Fixed) -> bool {
 /// The identifier `⟨i, j, k⟩` of a unit-cube cell whose lowest corner is
 /// `(i, j, k)`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellId3 {
     i: u16,
     j: u16,
@@ -281,7 +277,6 @@ impl fmt::Display for CellId3 {
 
 /// Dimensions of a rectangular box of unit-cube cells.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dims3 {
     nx: u16,
     ny: u16,

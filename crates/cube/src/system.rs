@@ -15,7 +15,6 @@ use crate::{CellId3, CellState3, Dims3, Point3};
 /// policy is the 3-D far-face placement. See the 2-D `SystemConfig` for the
 /// richer policy surface — this extension keeps the paper's defaults.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemConfig3 {
     dims: Dims3,
     target: CellId3,
@@ -135,7 +134,6 @@ impl std::error::Error for ConfigError3 {}
 
 /// A complete state of the 3-D system (hashable for model checking).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemState3 {
     /// Per-cell states indexed by [`Dims3::index`].
     pub cells: Vec<CellState3>,

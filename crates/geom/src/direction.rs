@@ -4,7 +4,6 @@ use core::fmt;
 
 /// One of the two coordinate axes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Axis {
     /// The horizontal (`x`) axis.
     X,
@@ -29,7 +28,6 @@ pub enum Axis {
 /// assert!(Dir::East.is_turn_from(Dir::North));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Dir {
     /// Toward increasing `x` (neighbor `⟨i+1, j⟩`).
     East,

@@ -33,7 +33,6 @@ const SCALE: i64 = 1_000_000;
 /// assert_eq!(travelled.to_string(), "2.5");
 /// ```
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fixed(i64);
 
 impl Fixed {

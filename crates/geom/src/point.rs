@@ -18,7 +18,6 @@ use crate::{Axis, Dir, Fixed};
 /// assert_eq!(q.y, p.y);
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate (the paper's `px`).
     pub x: Fixed,

@@ -17,7 +17,6 @@ use crate::{Axis, Dir, Fixed, Point};
 /// assert_eq!(entity.high_x(), Fixed::from_milli(625));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Square {
     center: Point,
     side: Fixed,

@@ -23,7 +23,6 @@ use cellflow_geom::{Dir, Fixed, Point, Square};
 /// assert_eq!(c.dir_to(CellId::new(3, 1)), Some(Dir::East));
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CellId {
     i: u16,
     j: u16,

@@ -22,7 +22,6 @@ use crate::CellId;
 /// assert_eq!(dims.neighbors(CellId::new(0, 0)).count(), 2);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridDims {
     nx: u16,
     ny: u16,

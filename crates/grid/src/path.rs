@@ -25,7 +25,6 @@ use crate::{CellId, GridDims};
 /// # Ok::<(), cellflow_grid::PathError>(())
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Path {
     cells: Vec<CellId>,
 }

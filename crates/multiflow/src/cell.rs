@@ -14,7 +14,6 @@ use crate::{FlowType, TypedEntity};
 /// maps keyed by [`FlowType`] (one distance-vector layer per commodity), and
 /// members carry their type.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiCellState {
     /// Entities on this cell.
     pub members: BTreeMap<EntityId, TypedEntity>,

@@ -13,7 +13,6 @@ use crate::{FlowType, MultiCellState};
 /// Static configuration: the grid, the physical parameters, and one
 /// `(source, target)` pair per flow type.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiConfig {
     dims: GridDims,
     params: Params,
@@ -209,7 +208,6 @@ impl std::error::Error for MultiConfigError {}
 
 /// A full state of the multi-type system.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MultiState {
     /// Per-cell states, indexed by [`GridDims::index`].
     pub cells: Vec<MultiCellState>,

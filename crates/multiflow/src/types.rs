@@ -6,7 +6,6 @@ use cellflow_geom::Point;
 
 /// The commodity type of a flow: each type has its own source(s) and target.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowType(pub u8);
 
 impl fmt::Display for FlowType {
@@ -17,7 +16,6 @@ impl fmt::Display for FlowType {
 
 /// An entity's per-cell record: its center position and its commodity type.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TypedEntity {
     /// Center of the `l × l` footprint.
     pub pos: Point,

@@ -4,10 +4,14 @@
 //! sketches the translation: *"At the beginning of each round,
 //! `Cell_{i,j}` broadcasts messages containing the values of these variables
 //! and receives similar values from its neighbors"* (§II-B). This crate is
-//! that translation made concrete: **one OS thread per cell**, unidirectional
-//! channels along every grid edge, and no shared state whatsoever — each cell
-//! owns its [`CellState`](cellflow_core::CellState) and learns about its
-//! neighbors exclusively through messages.
+//! that translation made concrete: unidirectional channels along every grid
+//! edge and no shared state whatsoever — each cell owns its
+//! [`CellState`](cellflow_core::CellState) and learns about its neighbors
+//! exclusively through messages. How cells map onto OS threads is not part
+//! of the protocol: worker threads drive contiguous shards of cells, one
+//! cell per worker while the grid fits the worker cap
+//! ([`NetSystem::with_worker_cap`], default 64), and each worker checks all
+//! its cells into the round barrier at once.
 //!
 //! # Round structure
 //!
@@ -36,12 +40,13 @@
 //! state.
 //!
 //! Scripted faults come from a [`FaultPlan`](cellflow_core::FaultPlan):
-//! protocol-level crash/recover flags, *hard* crashes that kill the cell's
-//! thread and re-spawn a successor from a checkpoint at the scripted
-//! recovery round, and unrecoverable kills. Round synchronization uses a
-//! timeout-guarded barrier ([`sync::RoundBarrier`]): a silent neighbor
-//! poisons the barrier and the run returns a typed
-//! [`NetError::Timeout`] instead of deadlocking.
+//! protocol-level crash/recover flags, *hard* crashes that seal the cell's
+//! failed state into a [`SnapshotStore`] and withdraw its barrier seat
+//! until the scripted recovery round, when it restores from the store, and
+//! unrecoverable kills. Round synchronization uses a timeout-guarded
+//! barrier ([`sync::RoundBarrier`]): a silent neighbor poisons the barrier
+//! and the run returns a typed [`NetError::Timeout`] instead of
+//! deadlocking.
 //!
 //! [`NetSystem::run_monitored`] additionally streams per-round snapshots to
 //! a collector thread that reassembles the global state and evaluates

@@ -1,6 +1,7 @@
-//! The concurrent runtime: one thread per cell, transport links along grid
-//! edges, timeout-guarded barrier-synchronized rounds, scripted faults, and
-//! an optional monitor collector.
+//! The concurrent runtime: pooled workers driving contiguous shards of
+//! cells, transport links along grid edges, timeout-guarded
+//! barrier-synchronized rounds, scripted faults, and an optional monitor
+//! collector.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,7 +52,7 @@ pub struct NetReport {
 /// Error from a message-passing run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetError {
-    /// A cell thread panicked (carries the panic message when printable).
+    /// A worker thread panicked (carries the panic message when printable).
     NodePanicked(String),
     /// A round failed to complete within the round timeout: some cell
     /// stopped responding without a scripted hand-over (e.g. a
@@ -84,7 +85,7 @@ pub enum NetError {
 impl core::fmt::Display for NetError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            NetError::NodePanicked(msg) => write!(f, "a cell thread panicked: {msg}"),
+            NetError::NodePanicked(msg) => write!(f, "a worker thread panicked: {msg}"),
             NetError::Timeout {
                 round,
                 cell,
@@ -113,23 +114,23 @@ impl std::error::Error for NetError {}
 /// of compute), low enough that a wedged deployment dies promptly.
 const DEFAULT_ROUND_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Default worker-pool cap. Grids up to this many cells keep the
-/// one-thread-per-cell deployment (maximal concurrency, the configuration
-/// every equivalence proof historically ran on); larger grids multiplex
-/// contiguous shards of cells onto this many pooled workers instead of
-/// spawning thousands of OS threads — a 64×64 grid would otherwise need
-/// 4096 of them.
+/// Default worker-pool cap. Grids up to this many cells get a worker per
+/// cell (maximal concurrency); larger grids multiplex contiguous shards of
+/// cells onto this many workers instead of spawning thousands of OS threads
+/// — a 64×64 grid would otherwise need 4096 of them.
 const DEFAULT_WORKER_CAP: usize = 64;
 
-/// A message-passing deployment of the protocol: `N²` independent cell
-/// threads that share **nothing** and communicate only over per-edge
-/// transport links, synchronized into rounds by a timeout-guarded barrier.
+/// A message-passing deployment of the protocol: `N²` independent cells
+/// that share **nothing** and communicate only over per-edge transport
+/// links, synchronized into rounds by a timeout-guarded barrier. Workers
+/// drive contiguous shards of cells — one cell each while the grid fits
+/// the worker cap ([`NetSystem::with_worker_cap`]).
 ///
 /// See the crate docs for the round structure and the equivalence guarantee
 /// against the shared-variable reference; see [`FaultPlan`] for scripting
-/// crashes, hard thread-killing crashes with checkpointed re-spawn, and
-/// unrecoverable kills, and [`ChaosConfig`] for message-level fault
-/// injection.
+/// crashes, hard crashes (the cell withdraws its barrier seat) with
+/// re-spawn from the snapshot store, and unrecoverable kills, and
+/// [`ChaosConfig`] for message-level fault injection.
 pub struct NetSystem {
     config: SystemConfig,
     plan: FaultPlan,
@@ -192,15 +193,15 @@ impl NetSystem {
         })
     }
 
-    /// Caps the deployment's thread count. Grids with at most `cap` cells
-    /// run one thread per cell; larger grids multiplex contiguous
-    /// cell-id-ordered shards onto `cap` pooled workers, each arriving at
-    /// the round barrier once per shard
-    /// ([`RoundBarrier`](crate::RoundBarrier)`::arrive_many`). The pooled
-    /// path exchanges the same messages over the same transports in the
-    /// same rounds, so reports are identical to the thread-per-cell
-    /// deployment — including timeout attribution: a killed cell's seat
-    /// stops arriving and the stall still names it. Default: 64.
+    /// Caps the deployment's worker-thread count. The cells split into at
+    /// most `cap` contiguous cell-id-ordered shards — shards of one cell
+    /// when the grid has at most `cap` cells — and each shard's worker
+    /// arrives at the round barrier once per wait for all its live cells
+    /// ([`RoundBarrier::arrive_many`](crate::sync::RoundBarrier::arrive_many)).
+    /// Every shard shape exchanges the same messages over the same
+    /// transports in the same rounds, so reports do not depend on the cap —
+    /// including timeout attribution: a killed cell's seat stops arriving
+    /// and the stall still names it. Default: 64.
     pub fn with_worker_cap(mut self, cap: usize) -> NetSystem {
         self.worker_cap = cap.max(1);
         self
@@ -285,9 +286,9 @@ impl NetSystem {
         self
     }
 
-    /// Scripts a *dirty* crash: at `tear.round` the cell's thread dies
-    /// mid-round — its write-ahead record tears halfway through the write,
-    /// no transfers are sent, and the round is never sealed. The re-spawn at
+    /// Scripts a *dirty* crash: at `tear.round` the cell dies mid-round —
+    /// its write-ahead record tears halfway through the write, no
+    /// transfers are sent, and the round is never sealed. The re-spawn at
     /// `tear.respawn` therefore restores the last durable *sealed* snapshot,
     /// which is stale by construction; the monitors treat the re-join as a
     /// state corruption (conservation rebaseline + stabilization epoch
@@ -334,7 +335,7 @@ impl NetSystem {
     ///
     /// # Errors
     ///
-    /// [`NetError::NodePanicked`] if a cell thread panicked;
+    /// [`NetError::NodePanicked`] if a worker thread panicked;
     /// [`NetError::Timeout`] if a cell went silent without a scripted
     /// hand-over (e.g. [`FaultKind::Kill`]) and the survivors timed out.
     pub fn run(&self, rounds: u64) -> Result<NetReport, NetError> {
@@ -383,7 +384,7 @@ impl NetSystem {
         let collect = !monitors.is_empty() || recorder.is_some();
 
         // Supervision is a deterministic plan rewrite, applied up front:
-        // node threads and the collector both consume the effective plan.
+        // workers and the collector both consume the effective plan.
         let (effective, decisions) = self.policy.rewrite(&self.plan);
         let telemetry = self.telemetry.as_deref();
         if let Some(tel) = telemetry {
@@ -460,49 +461,36 @@ impl NetSystem {
                 telemetry,
                 tracer: self.tracer,
             };
-            let seat_for = |id: CellId,
-                                inboxes: &mut HashMap<CellId, Receiver<Envelope>>,
-                                node: &CellNode| Seat {
-                inbox: inboxes.remove(&id).expect("one inbox per cell"),
-                links: node
-                    .neighbors()
+            // One worker per contiguous cell-id-ordered shard, with batched
+            // barrier arrivals. A grid within the cap gets shards of one
+            // cell: a worker per cell.
+            for shard in cells.chunks(n.div_ceil(self.worker_cap)) {
+                let slots: Vec<ShardSlot> = shard
                     .iter()
-                    .map(|&nb| (nb, transport.link(id, nb, senders[&nb].clone())))
-                    .collect(),
-                result_tx: result_tx.clone(),
-                snap_tx: snap_tx.clone(),
-                messages: telemetry
-                    .map(|t| t.messages_sent.clone())
-                    .unwrap_or_else(Counter::noop),
-            };
-            if n <= self.worker_cap {
-                // One thread per cell: maximal concurrency, the deployment
-                // shape every equivalence argument was first made on.
-                for &id in &cells {
-                    let node = CellNode::new(id, &self.config);
-                    let seat = seat_for(id, &mut inboxes, &node);
-                    scope.spawn(move |scope| drive(scope, ctx, node, seat, 0));
-                }
-            } else {
-                // Pooled: contiguous cell-id-ordered shards, one worker
-                // each, batched barrier arrivals. Same messages, same
-                // rounds, same reports — without n OS threads.
-                for shard in cells.chunks(n.div_ceil(self.worker_cap)) {
-                    let slots: Vec<ShardSlot> = shard
-                        .iter()
-                        .map(|&id| {
-                            let node = CellNode::new(id, &self.config);
-                            let seat = seat_for(id, &mut inboxes, &node);
-                            ShardSlot {
-                                id,
-                                node,
-                                seat,
-                                state: SlotState::Active,
-                            }
-                        })
-                        .collect();
-                    scope.spawn(move |_| drive_shard(ctx, slots));
-                }
+                    .map(|&id| {
+                        let node = CellNode::new(id, &self.config);
+                        let seat = Seat {
+                            inbox: inboxes.remove(&id).expect("one inbox per cell"),
+                            links: node
+                                .neighbors()
+                                .iter()
+                                .map(|&nb| (nb, transport.link(id, nb, senders[&nb].clone())))
+                                .collect(),
+                            result_tx: result_tx.clone(),
+                            snap_tx: snap_tx.clone(),
+                            messages: telemetry
+                                .map(|t| t.messages_sent.clone())
+                                .unwrap_or_else(Counter::noop),
+                        };
+                        ShardSlot {
+                            id,
+                            node,
+                            seat,
+                            state: SlotState::Active,
+                        }
+                    })
+                    .collect();
+                scope.spawn(move |_| drive_shard(ctx, slots));
             }
             drop(result_tx);
             drop(snap_tx);
@@ -559,7 +547,7 @@ impl NetSystem {
                         inserted += i;
                         states.insert(id, state);
                     }
-                    // All node threads exited without all reporting: the
+                    // All workers exited without all cells reporting: the
                     // barrier poison tells us why; otherwise a thread
                     // panicked (the scope join will surface the payload).
                     Err(_) => match barrier.poison() {
@@ -714,7 +702,7 @@ impl NetSystem {
     }
 }
 
-/// Run-wide immutable context shared by every node thread.
+/// Run-wide immutable context shared by every worker.
 #[derive(Clone, Copy)]
 struct RunCtx<'a> {
     config: &'a SystemConfig,
@@ -729,21 +717,9 @@ struct RunCtx<'a> {
 }
 
 impl RunCtx<'_> {
-    /// A barrier wait, timed into the telemetry histogram when attached.
-    fn wait(&self, cell: CellId) -> Result<(), PoisonInfo> {
-        match self.telemetry {
-            None => self.barrier.wait(cell),
-            Some(t) => {
-                let span = t.barrier_wait_ns.start();
-                let result = self.barrier.wait(cell);
-                drop(span);
-                result
-            }
-        }
-    }
-
-    /// A batched barrier arrival for a pooled shard — one check-in for every
-    /// live seat the worker drives — timed like [`RunCtx::wait`].
+    /// A batched barrier arrival for a shard — one check-in for every live
+    /// seat the worker drives — timed into the telemetry histogram when
+    /// attached.
     fn wait_many(&self, cells: &[CellId]) -> Result<(), PoisonInfo> {
         match self.telemetry {
             None => self.barrier.arrive_many(cells),
@@ -781,7 +757,7 @@ impl RunCtx<'_> {
     }
 }
 
-/// One node thread's connections (everything but the node itself, which a
+/// One cell's connections (everything but the node itself, which a
 /// hard-crash re-spawn replaces from a checkpoint).
 struct Seat {
     inbox: Receiver<Envelope>,
@@ -812,7 +788,7 @@ impl Seat {
     }
 }
 
-/// Where one pooled slot is in its lifecycle.
+/// Where one slot is in its lifecycle.
 enum SlotState {
     /// Participating in rounds: a live barrier seat, messages flowing.
     Active,
@@ -825,8 +801,8 @@ enum SlotState {
     Gone,
 }
 
-/// One cell multiplexed onto a pooled worker: the same node + seat a
-/// dedicated thread would own, plus where it is in its lifecycle.
+/// One cell driven by a worker: its node, its seat, and where it is in its
+/// lifecycle.
 struct ShardSlot {
     id: CellId,
     node: CellNode,
@@ -835,8 +811,8 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    /// Reports this slot's final state on the result channel — the pooled
-    /// analogue of `drive`'s exit report.
+    /// Reports this slot's final state on the result channel: once per
+    /// cell, when it finishes the run or leaves it for good.
     fn report(&mut self) {
         let state = self.node.state().clone();
         let (c, i) = (self.node.consumed, self.node.inserted);
@@ -853,292 +829,12 @@ struct Snapshot {
     inserted: u64,
 }
 
-/// The per-cell thread body, resumable: a hard-crash re-spawn re-enters it
-/// at `start_round` with the restored node. Exits silently when the barrier
-/// poisons (the coordinator reads the poison) or a scripted kill fires.
-fn drive<'scope, 'env>(
-    scope: &crossbeam::thread::Scope<'scope, 'env>,
-    ctx: RunCtx<'scope>,
-    mut node: CellNode,
-    mut seat: Seat,
-    start_round: u64,
-) {
-    let id = node.id();
-    for round in start_round..ctx.rounds {
-        // Dropped at the end of the iteration: wall-clock of one full round
-        // on this cell's thread, barrier waits included.
-        let _round_span = ctx.telemetry.map(|t| t.cell_round_ns.start());
-
-        // Scripted fault transitions at the start of the round.
-        for event in ctx.plan.events_at_for(round, id) {
-            match event.kind {
-                FaultKind::Crash | FaultKind::OverloadCrash => node.fail(),
-                FaultKind::Recover => node.recover(),
-                FaultKind::Corrupt(c) => node.corrupt(c),
-                FaultKind::HardCrash => {
-                    // The deployment-level crash: apply the protocol `fail`
-                    // (so the persisted snapshot is the paper's frozen
-                    // failed state), seal it into the store, hand the
-                    // barrier seat over to the scripted re-spawn (if any),
-                    // and let this thread die. The re-spawn restores from
-                    // the store — the uniform recovery path.
-                    node.fail();
-                    let record = PersistedRecord {
-                        round,
-                        point: RecordPoint::Sealed,
-                        checkpoint: node.checkpoint(),
-                    };
-                    ctx.persist(id, &record);
-                    match ctx.plan.respawn_round_after(id, round) {
-                        Some(respawn) if respawn < ctx.rounds => {
-                            ctx.barrier.leave_and_rejoin_at(respawn * WAITS_PER_ROUND);
-                            scope.spawn(move |scope| respawn_cell(scope, ctx, id, seat, respawn));
-                        }
-                        // No re-spawn (or one past the end of the run,
-                        // e.g. pushed there by supervisor backoff).
-                        _ => {
-                            ctx.barrier.leave();
-                            // Report the frozen final state now; nobody
-                            // else will speak for this cell.
-                            let (c, i) = (node.consumed, node.inserted);
-                            seat.result_tx.send((id, node.into_state(), c, i)).ok();
-                        }
-                    }
-                    return;
-                }
-                FaultKind::Kill => {
-                    // Vanish without ceremony: no leave, no report. The
-                    // neighbors' next barrier wait times out and the run
-                    // degrades to a typed error instead of deadlocking.
-                    return;
-                }
-            }
-        }
-
-        // Scripted dirty crash: the thread dies mid-round — the write-ahead
-        // record tears halfway through its write, nothing is sent, and the
-        // round is never sealed. The re-spawn will restore the last durable
-        // *sealed* snapshot, which is stale by construction.
-        if let Some(&tear) = ctx.tears.iter().find(|t| t.cell == id && t.round == round) {
-            let record = PersistedRecord {
-                round,
-                point: RecordPoint::Intent,
-                checkpoint: node.checkpoint(),
-            };
-            ctx.store
-                .append_torn(id, &record)
-                .expect("snapshot store append");
-            if let Some(t) = ctx.telemetry {
-                t.wal_appends.inc();
-            }
-            if tear.respawn < ctx.rounds {
-                ctx.barrier
-                    .leave_and_rejoin_at(tear.respawn * WAITS_PER_ROUND);
-                scope.spawn(move |scope| respawn_cell(scope, ctx, id, seat, tear.respawn));
-            } else {
-                ctx.barrier.leave();
-                let (c, i) = (node.consumed, node.inserted);
-                seat.result_tx.send((id, node.into_state(), c, i)).ok();
-            }
-            return;
-        }
-
-        // Exchange 1: dist → Route.
-        let cause = ctx.cause(round, id);
-        if let Some(dist) = node.announce_dist() {
-            seat.broadcast(round, cause, || Message::DistAnnounce { from: id, dist });
-        }
-        seat.flush();
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        let mut dists = HashMap::new();
-        let mut drained = 0u64;
-        for env in seat.inbox.try_iter() {
-            drained += 1;
-            if env.round != round {
-                continue; // a delayed straggler: footnote-1 silence
-            }
-            if let Message::DistAnnounce { from, dist } = env.msg {
-                dists.insert(from, dist);
-            }
-        }
-        ctx.observe_drain(drained);
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        node.route_step(&dists);
-
-        // Exchange 2: (next, nonempty) → Signal.
-        if let Some((next, nonempty)) = node.announce_route() {
-            seat.broadcast(round, cause, || Message::RouteAnnounce {
-                from: id,
-                next,
-                nonempty,
-            });
-        }
-        seat.flush();
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        let mut routes = HashMap::new();
-        let mut drained = 0u64;
-        for env in seat.inbox.try_iter() {
-            drained += 1;
-            if env.round != round {
-                continue;
-            }
-            if let Message::RouteAnnounce {
-                from,
-                next,
-                nonempty,
-            } = env.msg
-            {
-                routes.insert(from, (next, nonempty));
-            }
-        }
-        ctx.observe_drain(drained);
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        node.signal_step(&routes);
-
-        // Exchange 3: signal → Move.
-        if let Some(signal) = node.announce_signal() {
-            seat.broadcast(round, cause, || Message::SignalAnnounce { from: id, signal });
-        }
-        seat.flush();
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        let mut signals = HashMap::new();
-        let mut drained = 0u64;
-        for env in seat.inbox.try_iter() {
-            drained += 1;
-            if env.round != round {
-                continue;
-            }
-            if let Message::SignalAnnounce { from, signal } = env.msg {
-                signals.insert(from, signal);
-            }
-        }
-        ctx.observe_drain(drained);
-        if ctx.wait(id).is_err() {
-            return;
-        }
-
-        // Exchange 4: Move — transfers travel as (chaos-exempt) messages.
-        // The write-ahead discipline: persist an intent record *before* any
-        // transfer leaves, so a crash between send and seal is visible in
-        // the store instead of silently losing the round.
-        let outgoing = node.move_step(&signals);
-        if !outgoing.is_empty() {
-            let record = PersistedRecord {
-                round,
-                point: RecordPoint::Intent,
-                checkpoint: node.checkpoint(),
-            };
-            ctx.persist(id, &record);
-        }
-        for (to, entity, pos) in outgoing {
-            let link = seat
-                .links
-                .iter_mut()
-                .find(|(nb, _)| *nb == to)
-                .map(|(_, l)| l)
-                .expect("transfers go to neighbors");
-            link.send(Envelope {
-                round,
-                cause,
-                msg: Message::Transfer {
-                    from: id,
-                    entity,
-                    pos,
-                },
-            });
-            seat.messages.inc();
-        }
-        seat.flush();
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        let mut drained = 0u64;
-        let transfers: Vec<_> = seat
-            .inbox
-            .try_iter()
-            .inspect(|_| drained += 1)
-            .filter_map(|env| match env.msg {
-                Message::Transfer { entity, pos, .. } if env.round == round => {
-                    Some((entity, pos))
-                }
-                _ => None,
-            })
-            .collect();
-        ctx.observe_drain(drained);
-        if ctx.wait(id).is_err() {
-            return;
-        }
-        node.receive_transfers(transfers);
-        node.source_step();
-        node.finish_round();
-
-        // Seal the round: the durable snapshot a re-spawn restores from.
-        let record = PersistedRecord {
-            round,
-            point: RecordPoint::Sealed,
-            checkpoint: node.checkpoint(),
-        };
-        ctx.persist(id, &record);
-
-        if ctx.collect {
-            seat.snap_tx
-                .send(Snapshot {
-                    round,
-                    id,
-                    state: node.state().clone(),
-                    consumed: node.consumed,
-                    inserted: node.inserted,
-                })
-                .ok();
-        }
-    }
-    let (c, i) = (node.consumed, node.inserted);
-    seat.result_tx.send((id, node.into_state(), c, i)).ok();
-}
-
-/// The re-spawned incarnation of a crashed cell: waits for its reserved
-/// barrier seat to activate, restores the node from the **latest persisted
-/// snapshot** (fresh if the store has none — e.g. a tear in round 0), and
-/// resumes the ordinary drive loop. After a hard crash the latest record is
-/// the sealed frozen-failed state, and the scripted Recover at `respawn`
-/// un-fails it; after a dirty tear it is the previous round's seal — a
-/// *stale live* state the protocol must re-stabilize from.
-fn respawn_cell<'scope, 'env>(
-    scope: &crossbeam::thread::Scope<'scope, 'env>,
-    ctx: RunCtx<'scope>,
-    id: CellId,
-    seat: Seat,
-    respawn: u64,
-) {
-    if ctx
-        .barrier
-        .wait_for_generation(id, respawn * WAITS_PER_ROUND)
-        .is_err()
-    {
-        return;
-    }
-    let node = match ctx.store.latest(id).expect("snapshot store read") {
-        Some(record) => CellNode::restore(id, ctx.config, record.checkpoint, respawn),
-        None => CellNode::new(id, ctx.config),
-    };
-    drive(scope, ctx, node, seat, respawn);
-}
-
-/// The pooled worker body: drives a contiguous shard of cells through the
-/// identical round structure as [`drive`], checking every live seat into
-/// the barrier with one batched arrival per wait point.
+/// The worker body: drives a contiguous shard of cells through the
+/// protocol round, checking every live seat into the barrier with one
+/// batched arrival per wait point. Exits silently when the barrier poisons
+/// (the coordinator reads the poison).
 ///
-/// Equivalence with thread-per-cell holds because the barrier still fences
+/// Reports do not depend on the shard shape because the barrier fences
 /// every send from every drain: all of a worker's slots broadcast and flush
 /// *before* the batched arrival, and no slot drains until the generation
 /// advances — which requires every other worker's sends to have flushed
@@ -1146,25 +842,30 @@ fn respawn_cell<'scope, 'env>(
 /// but no step reads another slot's same-step output, so the order is
 /// unobservable.
 ///
-/// Lifecycle transitions mirror `drive` exactly: a hard crash seals the
-/// frozen-failed snapshot and either reserves a seat at the scripted
-/// re-spawn round (slot goes [`SlotState::Dormant`]) or leaves and reports;
-/// a tear appends a torn intent record and does the same; a kill flips the
-/// slot to [`SlotState::Gone`] *without* withdrawing its seat, so the next
-/// barrier wait times out and the stall attributes to the killed cell, just
-/// as when its dedicated thread vanished. Because the worker advances in
-/// lockstep with the barrier, its loop reaches round `respawn` exactly when
-/// the reserved seat activates — restoration needs no rendezvous unless the
-/// whole shard is dormant, in which case the worker parks on
-/// [`RoundBarrier::wait_for_generation`] like a re-spawned thread would.
+/// Lifecycle: a hard crash seals the frozen-failed snapshot and either
+/// withdraws the cell's barrier seat, reserving it again at the scripted
+/// re-spawn round (slot goes [`SlotState::Dormant`]), or leaves and
+/// reports; a tear appends a torn intent record and does the same; a kill
+/// flips the slot to [`SlotState::Gone`] *without* withdrawing its seat, so
+/// the next barrier wait times out and the stall attributes to the killed
+/// cell. Because the worker advances in lockstep with the barrier, its loop
+/// reaches round `respawn` exactly when the reserved seat activates, and
+/// the slot restores from the snapshot store there. That needs no
+/// rendezvous unless the whole shard is dormant (always so for a shard of
+/// one), in which case the worker parks on
+/// [`RoundBarrier::wait_for_generation`].
 fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
     let mut round = 0;
     while round < ctx.rounds {
         // Wall-clock of one full worker round (all slots), waits included.
-        let _round_span = ctx.telemetry.map(|t| t.cell_round_ns.start());
+        let round_span = ctx.telemetry.map(|t| t.cell_round_ns.start());
 
         // Re-spawns due this round restore from the latest persisted
-        // snapshot — the uniform recovery path.
+        // snapshot — the uniform recovery path. After a hard crash that is
+        // the sealed frozen-failed state, which the scripted Recover at
+        // `respawn` un-fails; after a tear it is the previous round's seal,
+        // a *stale live* state the protocol must re-stabilize from; with no
+        // record at all (a tear in round 0) the cell starts fresh.
         for slot in slots.iter_mut() {
             if let SlotState::Dormant { respawn } = slot.state {
                 if respawn == round {
@@ -1177,8 +878,7 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
             }
         }
 
-        // Scripted fault transitions, then the scripted dirty crash, in the
-        // same per-cell order as `drive`.
+        // Scripted fault transitions, then the scripted dirty crash.
         for slot in slots.iter_mut() {
             if !matches!(slot.state, SlotState::Active) {
                 continue;
@@ -1189,6 +889,11 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
                     FaultKind::Recover => slot.node.recover(),
                     FaultKind::Corrupt(c) => slot.node.corrupt(c),
                     FaultKind::HardCrash => {
+                        // The deployment-level crash: apply the protocol
+                        // `fail` (so the persisted snapshot is the paper's
+                        // frozen failed state), seal it into the store, and
+                        // withdraw the barrier seat — reserved again at the
+                        // scripted re-spawn, if any falls inside the run.
                         slot.node.fail();
                         let record = PersistedRecord {
                             round,
@@ -1210,6 +915,9 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
                         break;
                     }
                     FaultKind::Kill => {
+                        // Vanish without ceremony: no leave, no report. The
+                        // next barrier wait times out and the run degrades
+                        // to a typed error instead of deadlocking.
                         slot.state = SlotState::Gone;
                         break;
                     }
@@ -1218,6 +926,9 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
             if !matches!(slot.state, SlotState::Active) {
                 continue;
             }
+            // Scripted dirty crash: the cell dies mid-round — the
+            // write-ahead record tears halfway through its write, nothing
+            // is sent, and the round is never sealed.
             if let Some(&tear) = ctx
                 .tears
                 .iter()
@@ -1257,7 +968,10 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         if seats.is_empty() {
             // Nothing live in this shard. If anything is dormant, park until
             // the earliest reserved seat's generation (the other workers
-            // drive the barrier there); otherwise the worker is done.
+            // drive the barrier there); otherwise the worker is done. The
+            // round sample closes first: the dormant rounds are no round's
+            // work.
+            drop(round_span);
             let next = slots
                 .iter()
                 .filter_map(|s| match s.state {
@@ -1397,7 +1111,10 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
             return;
         }
 
-        // Exchange 4: Move — write-ahead intent before any transfer leaves.
+        // Exchange 4: Move — transfers travel as (chaos-exempt) messages.
+        // The write-ahead discipline: persist an intent record *before* any
+        // transfer leaves, so a crash between send and seal is visible in
+        // the store instead of silently losing the round.
         for (i, &k) in live.iter().enumerate() {
             let slot = &mut slots[k];
             let outgoing = slot.node.move_step(&signals[i]);
@@ -1461,6 +1178,7 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
             slot.node.receive_transfers(std::mem::take(&mut transfers[i]));
             slot.node.source_step();
             slot.node.finish_round();
+            // Seal the round: the durable snapshot a re-spawn restores from.
             let record = PersistedRecord {
                 round,
                 point: RecordPoint::Sealed,
@@ -2289,11 +2007,13 @@ mod tests {
     }
 
     #[test]
-    fn pooled_workers_match_thread_per_cell() {
+    fn reports_do_not_depend_on_shard_shape() {
         // The same faulty campaign — crash/recover, hard crash with
-        // re-spawn, corruption, and a dirty tear — through both deployment
-        // shapes: 16 dedicated threads vs. 3 pooled workers driving shards
-        // of 6/6/4 cells. Reports must be identical, monitors included.
+        // re-spawn, corruption, and a dirty tear — through three shard
+        // shapes: 16 workers with one cell each (the hard-crashed and torn
+        // cells' workers park while dormant), 3 workers driving 6/6/4
+        // cells, and a single worker driving all 16. Reports must be
+        // identical, monitors included.
         let run = |cap: usize| {
             let cfg = config(4);
             let monitors = cellflow_core::standard_monitors(&cfg);
@@ -2319,18 +2039,18 @@ mod tests {
                 .run_monitored(150, monitors)
                 .unwrap()
         };
-        let threaded = run(16);
-        let pooled = run(3);
-        assert_eq!(pooled, threaded);
-        assert!(threaded.consumed > 0, "the campaign kept flowing");
-        assert!(threaded.violations.is_empty(), "{:?}", threaded.violations);
+        let singles = run(16);
+        assert_eq!(run(3), singles);
+        assert_eq!(run(1), singles);
+        assert!(singles.consumed > 0, "the campaign kept flowing");
+        assert!(singles.violations.is_empty(), "{:?}", singles.violations);
     }
 
     #[test]
     fn pooled_kill_still_attributes_the_silent_cell() {
         // A killed cell's slot stops arriving but its barrier seat is never
-        // withdrawn — the pooled worker must preserve exactly the
-        // thread-per-cell stall so the timeout still names the victim.
+        // withdrawn, so even inside a shard of four live cells the stall
+        // still names the victim.
         let victim = CellId::new(2, 2);
         let err = NetSystem::new(config(4))
             .unwrap()

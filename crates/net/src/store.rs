@@ -80,8 +80,8 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// A scripted *dirty* crash for the deployment runtime: `cell`'s thread is
-/// torn down in the middle of round `round` — after appending (only) its
+/// A scripted *dirty* crash for the deployment runtime: `cell` is torn
+/// down in the middle of round `round` — after appending (only) its
 /// `Intent` record and **without** sending its transfers or sealing the
 /// round — and re-spawned at round `respawn` from whatever
 /// [`SnapshotStore::latest`] returns, which is by construction stale.
@@ -97,8 +97,8 @@ pub struct TearSpec {
 
 /// Durable (or durable-enough-for-tests) per-cell snapshot storage.
 ///
-/// `Send + Sync`: node threads append concurrently, each to its own cell's
-/// stream; a re-spawned thread reads its predecessor's stream after the
+/// `Send + Sync`: workers append concurrently, each cell to its own
+/// stream; a re-spawned cell reads its predecessor's stream after the
 /// predecessor is gone.
 pub trait SnapshotStore: Send + Sync {
     /// Appends `record` to `cell`'s stream.

@@ -1,20 +1,24 @@
 //! Round synchronization with timeouts and dynamic membership.
 //!
 //! `std::sync::Barrier` trusts every participant to arrive: one silent
-//! thread deadlocks the whole deployment forever. [`RoundBarrier`] replaces
-//! that blind trust with three mechanisms the chaos runtime needs:
+//! participant deadlocks the whole deployment forever. [`RoundBarrier`]
+//! replaces that blind trust with three mechanisms the chaos runtime needs:
 //!
 //! * **timeouts** — a participant that waits longer than the configured
 //!   round timeout *poisons* the barrier; every other participant's wait
 //!   returns the poison instead of blocking, and the runtime surfaces it as
 //!   a typed [`NetError::Timeout`](crate::NetError::Timeout);
-//! * **leaving** — a hard-crashed cell's thread can withdraw its membership
-//!   so the survivors' barrier completes without it (the paper's "a failed
-//!   cell … never communicates", without pretending the thread still runs);
+//! * **leaving** — a hard-crashed cell can withdraw its seat so the
+//!   survivors' barrier completes without it (the paper's "a failed cell …
+//!   never communicates", without pretending the cell still runs);
 //! * **scheduled re-joining** — a recovery re-spawn can reserve a seat at a
-//!   future generation, so the successor thread is counted from exactly the
+//!   future generation, so the restored cell is counted from exactly the
 //!   round it resumes at, with no window in which the barrier under- or
 //!   over-counts.
+//!
+//! A seat is one cell, not one thread: a worker driving a shard of cells
+//! checks all its live seats in with a single
+//! [`RoundBarrier::arrive_many`].
 //!
 //! Generations are absolute: generation `g = round · WAITS_PER_ROUND + k`
 //! is the `k`-th wait of round `round`, which is what makes "re-join at the
@@ -59,7 +63,7 @@ struct Inner {
     /// Who has checked into the current generation — the attribution a
     /// timeout report needs to name the silent cells.
     arrived_cells: Vec<CellId>,
-    /// Seats reserved for re-spawned threads, keyed by the generation at
+    /// Seats reserved for re-spawned cells, keyed by the generation at
     /// which they start counting.
     joins: BTreeMap<u64, usize>,
     /// When enabled (tracing), `(generation, last cell to arrive)` for
@@ -113,7 +117,7 @@ macro_rules! lock {
 }
 
 impl RoundBarrier {
-    /// A barrier for `participants` threads where any single wait exceeding
+    /// A barrier for `participants` seats where any single wait exceeding
     /// `timeout` poisons the group.
     pub fn new(participants: usize, timeout: Duration) -> RoundBarrier {
         RoundBarrier {
@@ -167,55 +171,21 @@ impl RoundBarrier {
         lock!(self.inner).poison.clone()
     }
 
-    /// Waits for the current generation to complete.
+    /// Checks one seat in and waits for the current generation to complete:
+    /// [`RoundBarrier::arrive_many`] with a single cell.
     ///
     /// # Errors
     ///
     /// The [`PoisonInfo`] if this wait timed out (this caller becomes the
     /// detector) or another participant already poisoned the barrier.
     pub fn wait(&self, cell: CellId) -> Result<(), PoisonInfo> {
-        let mut inner = lock!(self.inner);
-        if let Some(p) = &inner.poison {
-            return Err(p.clone());
-        }
-        let gen = inner.generation;
-        inner.arrived += 1;
-        inner.arrived_cells.push(cell);
-        if inner.arrived == inner.participants {
-            inner.advance();
-            self.cv.notify_all();
-            return Ok(());
-        }
-        loop {
-            let (guard, result) = self
-                .cv
-                .wait_timeout(inner, self.timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            if let Some(p) = &inner.poison {
-                return Err(p.clone());
-            }
-            if inner.generation != gen {
-                return Ok(());
-            }
-            if result.timed_out() {
-                let p = PoisonInfo {
-                    generation: gen,
-                    cell,
-                    arrived: inner.arrived_cells.clone(),
-                };
-                inner.poison = Some(p.clone());
-                self.cv.notify_all();
-                return Err(p);
-            }
-        }
+        self.arrive_many(std::slice::from_ref(&cell))
     }
 
     /// Checks `cells.len()` seats into the current generation at once — the
-    /// pooled runtime's one-call-per-shard arrival. Behaviorally equivalent
-    /// to `cells.len()` sequential [`RoundBarrier::wait`] calls by the same
-    /// thread (every cell lands in the attribution list), minus the wakeup
-    /// churn. An empty slice returns immediately without touching the
+    /// runtime's one-call-per-shard arrival. Every cell lands in the
+    /// attribution list, and the call returns when the generation
+    /// completes. An empty slice returns immediately without touching the
     /// barrier.
     ///
     /// # Errors
@@ -281,7 +251,7 @@ impl RoundBarrier {
     /// Withdraws one seat now and reserves it again from `generation` on
     /// (a hard crash whose recovery is scheduled). The reserved seat is
     /// counted from the moment the barrier *advances to* `generation`, so
-    /// the re-spawned thread must be waiting by then — see
+    /// the re-spawned cell's worker must be arriving by then — see
     /// [`RoundBarrier::wait_for_generation`].
     ///
     /// # Panics
@@ -303,8 +273,8 @@ impl RoundBarrier {
     }
 
     /// Blocks until the barrier has advanced to (at least) `generation` —
-    /// the rendezvous for a re-spawned thread whose seat was reserved with
-    /// [`RoundBarrier::leave_and_rejoin_at`].
+    /// the rendezvous for a worker whose only seats are reserved with
+    /// [`RoundBarrier::leave_and_rejoin_at`] (its shard is all dormant).
     ///
     /// The wait is bounded by a generous multiple of the per-wait timeout:
     /// generations normally advance every few microseconds, so a long stall

@@ -1,7 +1,7 @@
 //! Telemetry binding for the message-passing runtime.
 //!
-//! A [`NetTelemetry`] bundles the metric handles the runtime's threads
-//! record into — barrier wait and per-cell round latency histograms,
+//! A [`NetTelemetry`] bundles the metric handles the runtime's workers
+//! record into — barrier wait and per-worker round latency histograms,
 //! message/WAL/supervisor counters — with a shared [`EventLog`] the
 //! monitor collector streams round events into (failures, recoveries,
 //! corruptions, monitor verdicts, per-round rollups). A round timeout is
@@ -22,9 +22,12 @@ use cellflow_telemetry::{Counter, Event, EventLog, Histogram, Registry};
 /// [`NetSystem::with_telemetry`](crate::NetSystem::with_telemetry).
 pub struct NetTelemetry {
     registry: Registry,
-    /// Nanoseconds spent in each barrier wait (8 waits per round per cell).
+    /// Nanoseconds spent in each barrier wait (8 waits per round per
+    /// worker; a worker per cell while the grid fits the worker cap).
     pub(crate) barrier_wait_ns: Histogram,
-    /// Nanoseconds each cell thread spends on one full round.
+    /// Nanoseconds each worker spends on one full round of its shard — one
+    /// cell's round while the grid fits the worker cap. Rounds a worker
+    /// spends parked with its whole shard dormant are not timed.
     pub(crate) cell_round_ns: Histogram,
     /// Protocol messages sent over edge links (announcements + transfers).
     pub(crate) messages_sent: Counter,

@@ -42,7 +42,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::message::{Envelope, Message};
 
-/// A directed edge's sending endpoint, as seen by one node thread.
+/// A directed edge's sending endpoint, as seen by one cell.
 ///
 /// Messages queue with [`EdgeLink::send`] and hit the wire at
 /// [`EdgeLink::flush`], called once per exchange right before the node

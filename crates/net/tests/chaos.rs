@@ -29,7 +29,7 @@ fn reference_run(config: &SystemConfig, rounds: u64, plan: &FaultPlan) -> (Syste
                 FaultKind::Recover => sys.recover(event.cell),
                 // Crash, HardCrash, and Kill all read as `fail` in the
                 // shared-variable model — the differences are mechanical
-                // (thread death, barrier membership), not behavioral.
+                // (barrier membership, store restore), not behavioral.
                 _ => sys.fail(event.cell),
             }
         }
@@ -114,7 +114,7 @@ fn hard_crash_respawn_matches_reference() {
     assert_eq!(net.inserted, ref_inserted);
 }
 
-/// A hard crash with no scripted recovery: the thread dies for good, the
+/// A hard crash with no scripted recovery: the cell leaves for good, its
 /// barrier seat is withdrawn, and the survivors finish the run normally.
 #[test]
 fn permanent_hard_crash_still_terminates() {

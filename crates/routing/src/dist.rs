@@ -18,7 +18,6 @@ use core::fmt;
 /// assert_eq!(Dist::Infinity.succ(100), Dist::Infinity);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Dist {
     /// A finite hop count.
     Finite(u32),

@@ -11,7 +11,6 @@ use rand::{Rng, SeedableRng};
 
 /// What a failure model did to the system this round.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FailureEvents {
     /// Cells crashed this round.
     pub failed: Vec<CellId>,
@@ -189,7 +188,7 @@ impl FailureModel for Schedule {
 
 /// A [`FaultPlan`] drives the shared-variable reference too: the same
 /// scripted campaign that the message-passing runtime executes mechanically
-/// (thread death, barrier leave/re-join, silence) reads here as plain
+/// (barrier leave/re-join, store restore, silence) reads here as plain
 /// fail/recover transitions — which is exactly the abstraction the paper's
 /// model makes. This is what the differential tests lean on: one plan, two
 /// runtimes, identical observable behavior.

@@ -11,16 +11,12 @@ use crate::failure::FailureEvents;
 
 /// Per-round counters accumulated over a simulation.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Metrics {
     consumed_per_round: Vec<u32>,
     inserted_per_round: Vec<u32>,
     blocked_per_round: Vec<u32>,
     grants_per_round: Vec<u32>,
     moved_per_round: Vec<u32>,
-    // `default` (not `skip`): JSON written before failure history was
-    // serialized deserializes to an empty history instead of erroring.
-    #[cfg_attr(feature = "serde", serde(default))]
     failures_per_round: Vec<FailureEvents>,
 }
 

@@ -10,7 +10,6 @@ use crate::sweep::parallel_map;
 
 /// Moments of a sample: mean, standard deviation (sample, n−1), extrema.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

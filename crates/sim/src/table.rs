@@ -3,7 +3,6 @@
 
 /// One plotted series: a label and `(x, y)` points.
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Series {
     /// Legend label, e.g. `"v=0.2"`.
     pub label: String,

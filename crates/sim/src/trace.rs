@@ -7,7 +7,6 @@ use crate::failure::FailureEvents;
 
 /// One observable event, tagged with the round it happened in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceEvent {
     /// A source created an entity.
     Insert {

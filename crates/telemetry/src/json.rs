@@ -1,11 +1,11 @@
 //! A minimal JSON value model and recursive-descent parser.
 //!
-//! The workspace builds hermetically against vendored dependency stubs, so
-//! `serde`/`serde_json` are not available to the default feature set. All
-//! telemetry output is therefore *hand-serialized* (fixed key order,
-//! deterministic formatting), and this module supplies the other half:
-//! enough of a parser to validate JSONL event streams, round-trip the
-//! schema in tests, and drive `cellflow inspect` — without any dependency.
+//! The workspace builds hermetically against vendored dependency stubs and
+//! has no serialization framework. All telemetry output is therefore
+//! *hand-serialized* (fixed key order, deterministic formatting), and this
+//! module supplies the other half: enough of a parser to validate JSONL
+//! event streams, round-trip the schema in tests, and drive `cellflow
+//! inspect` — without any dependency.
 //!
 //! Numbers keep their integer-ness: integers parse to [`Json::Int`] (full
 //! `i64`/`u64` range via [`Json::as_u64`]) and anything with a fraction or

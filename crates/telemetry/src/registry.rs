@@ -3,8 +3,8 @@
 //! Three metric kinds cover everything the workspace measures:
 //!
 //! * [`Counter`] — a monotonic event count, **sharded** across
-//!   [`SHARDS`] relaxed atomics so that the net runtime's `N²` cell threads
-//!   never contend on one cache line;
+//!   [`SHARDS`] relaxed atomics so that the net runtime's worker threads
+//!   (up to one per cell) never contend on one cache line;
 //! * [`Gauge`] — a signed instantaneous level (queue depth, population);
 //! * [`Histogram`] — a fixed power-of-two-bucket latency distribution
 //!   (ns per phase, barrier wait, round time) with an atomic count per
@@ -23,8 +23,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Number of independent counter shards. Enough that a grid of cell threads
-/// rarely collides; small enough that summing is trivial.
+/// Number of independent counter shards. Enough that a pool of worker
+/// threads rarely collides; small enough that summing is trivial.
 pub const SHARDS: usize = 16;
 
 /// Number of histogram buckets: bucket `k` holds observations in

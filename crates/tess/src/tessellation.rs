@@ -14,7 +14,6 @@ use cellflow_grid::{CellId, GridDims};
 /// is the special case of all-`1` widths and heights
 /// ([`Tessellation::unit`]).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tessellation {
     /// Column boundaries `X_0 = 0, X_1, …, X_nx` (prefix sums of widths).
     col_edges: Vec<Fixed>,

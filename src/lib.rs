@@ -21,9 +21,9 @@
 //!   conclusion (§V);
 //! * [`multiflow`] — the multi-type flows extension named in the paper's
 //!   conclusion (§V);
-//! * [`net`] — a true message-passing deployment (one thread per cell,
-//!   channels along edges), proven bit-equivalent to the shared-variable
-//!   model;
+//! * [`net`] — a true message-passing deployment (shared-nothing cells on
+//!   pooled worker threads, channels along edges), proven bit-equivalent to
+//!   the shared-variable model;
 //! * [`tess`] — the protocol over arbitrary rectangular tessellations
 //!   (heterogeneous cell sizes), bit-equivalent to [`core`] on unit cells;
 //! * [`telemetry`] — the unified observability layer: metric registry,

@@ -101,7 +101,7 @@ proptest! {
         prop_assert_eq!(net.inserted, ref_inserted);
     }
 
-    /// Hard crashes (real thread death + checkpointed re-spawn in the net
+    /// Hard crashes (barrier leave + re-spawn from the store in the net
     /// runtime, plain `fail` in the reference) preserve the differential
     /// guarantee on a lossless fabric.
     #[test]

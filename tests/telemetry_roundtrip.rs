@@ -3,8 +3,8 @@
 //! monotone sequence of lines must pass the stream validator with the
 //! census the generator knows it produced.
 //!
-//! Unlike `serde_roundtrip.rs`, this suite runs in the hermetic tier-1
-//! build — the telemetry JSON codec is hand-rolled and needs no serde.
+//! The telemetry JSON codec is hand-rolled, so this suite needs no
+//! serialization dependency and runs in the hermetic tier-1 build.
 
 use cellular_flows::grid::CellId;
 use cellular_flows::telemetry::{validate_stream, Event};
