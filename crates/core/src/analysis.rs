@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use cellflow_grid::{connectivity, CellId};
 use cellflow_routing::{route_update, Dist};
 
-use crate::{SystemConfig, SystemState};
+use crate::{CellState, SystemConfig, SystemState};
 
 /// The set `F(x)` of currently failed cells.
 pub fn failed_set(config: &SystemConfig, state: &SystemState) -> HashSet<CellId> {
@@ -52,29 +52,41 @@ pub fn tc(config: &SystemConfig, state: &SystemState) -> HashSet<CellId> {
 pub fn routing_stabilized(config: &SystemConfig, state: &SystemState) -> bool {
     let dims = config.dims();
     let rho = rho(config, state);
+    dims.iter()
+        .all(|id| cell_stabilized(config, &rho, id, state.cell(dims, id)))
+}
+
+/// The per-cell clause of [`routing_stabilized`] under the path distances
+/// `rho`: a failed cell is stable (`fail()` pinned it), a live one holds
+/// `dist = ρ` and, off the target, the `(dist, id)`-argmin neighbor as
+/// `next`. It reads only the cell's own registers and `ρ`, so while no
+/// `failed` flag flips, a cell's verdict changes only with its registers.
+pub(crate) fn cell_stabilized(
+    config: &SystemConfig,
+    rho: &connectivity::Distances,
+    id: CellId,
+    cell: &CellState,
+) -> bool {
     let expected_dist = |id: CellId| -> Dist {
         match rho.get(id) {
             Some(d) => Dist::Finite(d),
             None => Dist::Infinity,
         }
     };
-    dims.iter().all(|id| {
-        let cell = state.cell(dims, id);
-        if cell.failed {
-            return true; // fail() pinned dist = ∞, next = ⊥
-        }
-        if cell.dist != expected_dist(id) {
-            return false;
-        }
-        if id == config.target() {
-            return true;
-        }
-        let (_, want_next) = route_update(
-            dims.neighbors(id).map(|n| (n, expected_dist(n))),
-            config.dist_cap(),
-        );
-        cell.next == want_next
-    })
+    if cell.failed {
+        return true;
+    }
+    if cell.dist != expected_dist(id) {
+        return false;
+    }
+    if id == config.target() {
+        return true;
+    }
+    let (_, want_next) = route_update(
+        config.dims().neighbors(id).map(|n| (n, expected_dist(n))),
+        config.dist_cap(),
+    );
+    cell.next == want_next
 }
 
 /// The number of entities sitting on target-connected cells — the entities

@@ -58,7 +58,9 @@ use cellflow_routing::Dist;
 use cellflow_telemetry::{PhaseTimers, SchedulerMetrics};
 
 use crate::signal::gap_free_toward;
-use crate::{EntityId, Params, RoundEvents, SystemConfig, SystemState, TokenPolicy, Transfer};
+use crate::{
+    CellState, EntityId, Params, RoundEvents, SystemConfig, SystemState, TokenPolicy, Transfer,
+};
 
 /// Sentinel for "no neighbor in this direction" in [`NeighborTable`].
 const NO_NBR: u32 = u32::MAX;
@@ -148,7 +150,7 @@ impl std::fmt::Debug for NeighborTable {
 }
 
 /// One cell's protocol registers in flat form — everything from
-/// [`CellState`](crate::CellState) except the member map, with `NEPrev`
+/// [`CellState`] except the member map, with `NEPrev`
 /// packed into a 4-bit mask over [`Dir::ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CellCore {
@@ -168,7 +170,7 @@ pub struct CellCore {
 }
 
 impl Default for CellCore {
-    /// Matches [`CellState::initial`](crate::CellState::initial).
+    /// Matches [`CellState::initial`].
     fn default() -> CellCore {
         CellCore {
             dist: Dist::Infinity,
@@ -351,13 +353,19 @@ struct Sched {
     /// Cells with nonzero pressure or members — everywhere else the
     /// integrator is 0 and `⌊0/2⌋ + 0 = 0`, so skipping is exact.
     pressure_list: Vec<u32>,
-    /// Distinct-cell scratch for the occupancy gauge.
+    /// The cells the most recent round may have changed: every cell a
+    /// phase ran on, plus arrival and source-insertion cells, sorted
+    /// ascending once the round completes (see [`Engine::changed_cells`]).
     touch: MarkSet,
     /// Distinct cells any phase ran on in the most recent round.
     last_active: usize,
     /// Run the next round on full sets (construction, `load_state`, mode
     /// switches — anything that may have rewritten arbitrary registers).
     mark_all: bool,
+    /// Any cell may differ from the previous round (a dense round, a
+    /// full-set round, or a `load_state` since): `touch` does not bound
+    /// the change.
+    changed_all: bool,
 }
 
 impl Sched {
@@ -375,6 +383,7 @@ impl Sched {
             touch: MarkSet::with_cells(n),
             last_active: n,
             mark_all: true,
+            changed_all: true,
         }
     }
 }
@@ -868,6 +877,7 @@ impl Engine {
     /// every subsequent [`Engine::step`] records its post-round state.
     /// Replaces any recorder already attached.
     pub fn attach_recorder(&mut self, mut recorder: Box<crate::snapshot::Recorder>) {
+        recorder.forget_mirror();
         recorder.record_engine(self);
         self.recorder = Some(recorder);
     }
@@ -998,8 +1008,10 @@ impl Engine {
         }
         self.next_entity_id = state.next_entity_id;
         // Arbitrary registers may have been rewritten (fault injection goes
-        // through here): the next sparse round must recompute everything.
+        // through here): the next sparse round must recompute everything,
+        // and no cell is known to match the previous round.
         self.sched.mark_all = true;
+        self.sched.changed_all = true;
     }
 
     /// Exports the arenas into `state` in place, reusing its allocations:
@@ -1016,43 +1028,81 @@ impl Engine {
             "state size must match the grid"
         );
         for (k, cs) in state.cells.iter_mut().enumerate() {
-            let c = self.front[k];
-            cs.dist = c.dist;
-            cs.next = c.next;
-            cs.token = c.token;
-            cs.signal = c.signal;
-            cs.failed = c.failed;
-            let overridden = self
-                .ne_override
-                .iter()
-                .find(|(i, _)| *i == k as u32)
-                .map(|(_, set)| set);
-            if let Some(set) = overridden {
-                if cs.ne_prev != *set {
-                    cs.ne_prev = set.clone();
-                }
-            } else {
-                let (cands, cn) = self.mask_candidates(k, c.ne_mask);
-                let unchanged = cs.ne_prev.len() == cn
-                    && cs.ne_prev.iter().zip(cands[..cn].iter()).all(|(a, b)| a == b);
-                if !unchanged {
-                    cs.ne_prev.clear();
-                    cs.ne_prev.extend(cands[..cn].iter().copied());
-                }
-            }
-            let mem = &self.members[k];
-            let same_keys = cs.members.len() == mem.len()
-                && cs.members.keys().zip(mem.iter()).all(|(a, (b, _))| a == b);
-            if same_keys {
-                for (slot, (_, p)) in cs.members.values_mut().zip(mem.iter()) {
-                    *slot = *p;
-                }
-            } else {
-                cs.members.clear();
-                cs.members.extend(mem.iter().copied());
-            }
+            self.store_cell(k, cs);
         }
         state.next_entity_id = self.next_entity_id;
+    }
+
+    /// [`Engine::store_state`] restricted to the cells at arena indices
+    /// `cells`: with [`Engine::changed_cells`], it brings a mirror of the
+    /// previous round's state up to date in O(changed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` has the wrong number of cells or an index is out
+    /// of bounds.
+    pub(crate) fn store_cells(&self, state: &mut SystemState, cells: &[u32]) {
+        assert_eq!(
+            state.cells.len(),
+            self.front.len(),
+            "state size must match the grid"
+        );
+        for &k in cells {
+            self.store_cell(k as usize, &mut state.cells[k as usize]);
+        }
+        state.next_entity_id = self.next_entity_id;
+    }
+
+    /// Exports cell `k` into `cs`, rebuilding its sets only on change.
+    fn store_cell(&self, k: usize, cs: &mut CellState) {
+        let c = self.front[k];
+        cs.dist = c.dist;
+        cs.next = c.next;
+        cs.token = c.token;
+        cs.signal = c.signal;
+        cs.failed = c.failed;
+        let overridden = self
+            .ne_override
+            .iter()
+            .find(|(i, _)| *i == k as u32)
+            .map(|(_, set)| set);
+        if let Some(set) = overridden {
+            if cs.ne_prev != *set {
+                cs.ne_prev = set.clone();
+            }
+        } else {
+            let (cands, cn) = self.mask_candidates(k, c.ne_mask);
+            let unchanged = cs.ne_prev.len() == cn
+                && cs.ne_prev.iter().zip(cands[..cn].iter()).all(|(a, b)| a == b);
+            if !unchanged {
+                cs.ne_prev.clear();
+                cs.ne_prev.extend(cands[..cn].iter().copied());
+            }
+        }
+        let mem = &self.members[k];
+        let same_keys = cs.members.len() == mem.len()
+            && cs.members.keys().zip(mem.iter()).all(|(a, (b, _))| a == b);
+        if same_keys {
+            for (slot, (_, p)) in cs.members.values_mut().zip(mem.iter()) {
+                *slot = *p;
+            }
+        } else {
+            cs.members.clear();
+            cs.members.extend(mem.iter().copied());
+        }
+    }
+
+    /// The cells whose exported state may differ from the previous round's,
+    /// as ascending arena indices ([`GridDims::index`] order): a superset
+    /// of the cells the most recent [`Engine::step`] changed. In a sparse
+    /// round that is every cell a phase ran on, widened with the cells
+    /// entities arrived on or sources inserted into.
+    ///
+    /// `None` when any cell may have changed: after a dense round, the
+    /// full-set round that follows construction, [`Engine::load_state`] or
+    /// a mode switch, and from a `load_state` until the next step.
+    pub fn changed_cells(&self) -> Option<&[u32]> {
+        (!self.sched.changed_all).then_some(self.sched.touch.list.as_slice())
     }
 
     /// Allocates and returns a fresh [`SystemState`] mirror (convenience for
@@ -1139,6 +1189,7 @@ impl Engine {
         }
 
         self.sched.last_active = self.front.len();
+        self.sched.changed_all = true;
         if let Some(m) = &self.sched_metrics {
             m.active_cells.set(self.front.len() as i64);
         }
@@ -1209,6 +1260,7 @@ impl Engine {
             alloc_events,
             ..
         } = self;
+        sched.changed_all = sched.mark_all;
         if sched.mark_all {
             sched.mark_all = false;
             sched.route_now.fill_all(alloc_events);
@@ -1617,12 +1669,16 @@ impl Engine {
     }
 
     /// Counts the distinct cells this round's phases ran on and publishes
-    /// the occupancy gauges when scheduler metrics are attached.
+    /// the occupancy gauges when scheduler metrics are attached, then
+    /// widens that set with the cells entities arrived on or were inserted
+    /// into — every cell the round wrote — for [`Engine::changed_cells`].
     fn note_round_activity(&mut self) {
         let Engine {
+            config,
             sched,
             sched_metrics,
             front,
+            events,
             alloc_events,
             ..
         } = self;
@@ -1645,6 +1701,17 @@ impl Engine {
             m.skipped_cells
                 .add((front.len() - sched.last_active) as u64);
         }
+        if sched.changed_all {
+            return; // every cell ran; `changed_cells` reports `None`
+        }
+        let dims = config.dims();
+        for t in &events.transfers {
+            sched.touch.insert(dims.index(t.to) as u32, alloc_events);
+        }
+        for &(s, _) in &events.inserted {
+            sched.touch.insert(dims.index(s) as u32, alloc_events);
+        }
+        sched.touch.list.sort_unstable();
     }
 
     /// The sorted (ascending `CellId`) neighbor candidates selected by

@@ -23,10 +23,19 @@
 //! it at signal-computation time, and it legitimately fails in end-of-round
 //! states (granted cells' entities move within the same round), which is all
 //! a monitor gets to see.
+//!
+//! Every checked property is local to a cell (or a cell and `ρ`), save the
+//! population sum. So when a round arrives with [`MonitorCtx::changed`] and
+//! directly follows the last round a monitor saw, the monitor re-runs its
+//! per-cell predicate on the changed cells only, plus a small index it keeps
+//! (occupied cells, cells in violation, unstable cells). Otherwise it scans
+//! the whole grid. Both scopes call the same per-cell code and report the
+//! same violations, in the same order.
 
 use core::fmt;
+use std::collections::BTreeSet;
 
-use cellflow_grid::CellId;
+use cellflow_grid::{CellId, Distances};
 use cellflow_routing::Dist;
 
 use crate::{analysis, safety, SystemConfig, SystemState};
@@ -66,6 +75,59 @@ pub struct MonitorCtx<'a> {
     pub consumed_total: u64,
     /// Cumulative entities inserted by sources since round 0.
     pub inserted_total: u64,
+    /// Ascending arena indices
+    /// ([`GridDims::index`](cellflow_grid::GridDims::index) order) forming
+    /// a superset of the cells whose state differs from the state observed
+    /// at `round − 1`, as
+    /// [`System::changed_cells`](crate::System::changed_cells) produces
+    /// them. `None` means any cell may have changed, and every monitor
+    /// scans the whole grid.
+    pub changed: Option<&'a [u32]>,
+}
+
+/// The cells a monitor must re-examine this round: the context's changed
+/// set when this round directly follows `last_round`, the last one the
+/// monitor saw, else `None` (a full scan). Records `ctx.round` as seen.
+fn scope<'a>(ctx: &MonitorCtx<'a>, last_round: &mut Option<u64>) -> Option<&'a [u32]> {
+    let follows = last_round.is_some_and(|r| r + 1 == ctx.round);
+    *last_round = Some(ctx.round);
+    ctx.changed.filter(|_| follows)
+}
+
+/// Calls `f` on each cell of `scope` in order, or on every one of the
+/// `cells` cells when `scope` is `None`.
+fn for_each_cell(scope: Option<&[u32]>, cells: usize, mut f: impl FnMut(usize)) {
+    match scope {
+        Some(changed) => changed.iter().for_each(|&k| f(k as usize)),
+        None => (0..cells).for_each(f),
+    }
+}
+
+/// Ascending arena indices of the nonempty cells, kept current from the
+/// changed set. Empty cells can violate neither `Safe` nor Invariants 1–2
+/// and hold no population, so this is all the safety and conservation
+/// monitors scan.
+#[derive(Debug, Default)]
+struct Occupied {
+    cells: BTreeSet<u32>,
+    last_round: Option<u64>,
+}
+
+impl Occupied {
+    fn refresh(&mut self, ctx: &MonitorCtx<'_>) -> &BTreeSet<u32> {
+        let scope = scope(ctx, &mut self.last_round);
+        if scope.is_none() {
+            self.cells.clear();
+        }
+        for_each_cell(scope, ctx.state.cells.len(), |k| {
+            if ctx.state.cells[k].members.is_empty() {
+                self.cells.remove(&(k as u32));
+            } else {
+                self.cells.insert(k as u32);
+            }
+        });
+        &self.cells
+    }
 }
 
 /// One property violation flagged by a monitor.
@@ -100,11 +162,13 @@ pub trait Monitor: Send {
     fn summary(&self) -> String;
 }
 
-/// Theorem 5 safety plus Invariants 1–2, checked every round.
+/// Theorem 5 safety plus Invariants 1–2, checked every round over the
+/// occupied cells.
 #[derive(Debug, Default)]
 pub struct SafetyMonitor {
     rounds: u64,
     violations: u64,
+    occupied: Occupied,
 }
 
 impl SafetyMonitor {
@@ -121,24 +185,26 @@ impl Monitor for SafetyMonitor {
 
     fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
         self.rounds += 1;
+        let occupied = self.occupied.refresh(ctx);
+        let cells = || occupied.iter().map(|&k| k as usize);
         let mut out = Vec::new();
-        if let Err(v) = safety::check_safe(ctx.config, ctx.state) {
+        if let Err(v) = safety::check_safe_in(ctx.config, ctx.state, cells()) {
             out.push(MonitorViolation {
-                monitor: self.name(),
+                monitor: "safety",
                 round: ctx.round,
                 detail: format!("Theorem 5 violated: {v}"),
             });
         }
-        if let Err(v) = safety::check_invariant1(ctx.config, ctx.state) {
+        if let Err(v) = safety::check_invariant1_in(ctx.config, ctx.state, cells()) {
             out.push(MonitorViolation {
-                monitor: self.name(),
+                monitor: "safety",
                 round: ctx.round,
                 detail: format!("Invariant 1 violated: {v}"),
             });
         }
-        if let Err(v) = safety::check_invariant2(ctx.config, ctx.state) {
+        if let Err(v) = safety::check_invariant2_in(ctx.config, ctx.state, cells()) {
             out.push(MonitorViolation {
-                monitor: self.name(),
+                monitor: "safety",
                 round: ctx.round,
                 detail: format!("Invariant 2 violated: {v}"),
             });
@@ -163,10 +229,62 @@ impl Monitor for SafetyMonitor {
 /// * the live target has `dist = 0`; no other live cell ever does;
 /// * a failed cell stays pinned at `dist = ∞`, `next = ⊥` (nothing but
 ///   recovery may touch it).
+///
+/// The cells in violation are kept as an index, so a violation on a cell
+/// the round did not change is still reported every round it persists.
 #[derive(Debug, Default)]
 pub struct RoutingMonitor {
     rounds: u64,
     violations: u64,
+    /// Ascending arena indices of the cells in violation.
+    broken: BTreeSet<u32>,
+    last_round: Option<u64>,
+}
+
+/// The routing rules for cell `k`: pushes one violation per broken rule.
+fn check_routing_cell(ctx: &MonitorCtx<'_>, k: usize, out: &mut Vec<MonitorViolation>) {
+    let dims = ctx.config.dims();
+    let id = dims.id_at(k);
+    let cell = &ctx.state.cells[k];
+    let mut flag = |detail: String| {
+        out.push(MonitorViolation {
+            monitor: "routing",
+            round: ctx.round,
+            detail,
+        });
+    };
+    if cell.failed {
+        if cell.dist != Dist::Infinity || cell.next.is_some() {
+            flag(format!(
+                "failed cell {id} not pinned: dist={:?} next={:?}",
+                cell.dist, cell.next
+            ));
+        }
+        return;
+    }
+    // `Nbrs` holds in-bounds cells only: a unit step off the grid is no
+    // neighbor either.
+    let neighbor = |n: CellId| id.is_neighbor(n) && dims.contains(n);
+    if let Some(n) = cell.next {
+        if !neighbor(n) {
+            flag(format!("cell {id} routes to non-neighbor {n}"));
+        }
+    }
+    if let Some(s) = cell.signal {
+        if !neighbor(s) {
+            flag(format!("cell {id} grants non-neighbor {s}"));
+        }
+    }
+    if id == ctx.config.target() {
+        if cell.dist != Dist::Finite(0) {
+            flag(format!(
+                "live target {id} has dist {:?}, expected 0",
+                cell.dist
+            ));
+        }
+    } else if cell.dist == Dist::Finite(0) {
+        flag(format!("non-target cell {id} claims dist 0"));
+    }
 }
 
 impl RoutingMonitor {
@@ -183,50 +301,23 @@ impl Monitor for RoutingMonitor {
 
     fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
         self.rounds += 1;
-        let dims = ctx.config.dims();
-        let target = ctx.config.target();
+        let scope = scope(ctx, &mut self.last_round);
+        if scope.is_none() {
+            self.broken.clear();
+        }
+        // Re-judge the cells in scope; only the index keeps their verdicts.
         let mut out = Vec::new();
-        let mut flag = |round: u64, detail: String| {
-            out.push(MonitorViolation {
-                monitor: "routing",
-                round,
-                detail,
-            });
-        };
-        for id in dims.iter() {
-            let cell = ctx.state.cell(dims, id);
-            if cell.failed {
-                if cell.dist != Dist::Infinity || cell.next.is_some() {
-                    flag(
-                        ctx.round,
-                        format!(
-                            "failed cell {id} not pinned: dist={:?} next={:?}",
-                            cell.dist, cell.next
-                        ),
-                    );
-                }
-                continue;
+        for_each_cell(scope, ctx.state.cells.len(), |k| {
+            check_routing_cell(ctx, k, &mut out);
+            if out.is_empty() {
+                self.broken.remove(&(k as u32));
+            } else {
+                self.broken.insert(k as u32);
+                out.clear();
             }
-            if let Some(n) = cell.next {
-                if !id.is_neighbor(n) {
-                    flag(ctx.round, format!("cell {id} routes to non-neighbor {n}"));
-                }
-            }
-            if let Some(s) = cell.signal {
-                if !id.is_neighbor(s) {
-                    flag(ctx.round, format!("cell {id} grants non-neighbor {s}"));
-                }
-            }
-            if id == target {
-                if cell.dist != Dist::Finite(0) {
-                    flag(
-                        ctx.round,
-                        format!("live target {id} has dist {:?}, expected 0", cell.dist),
-                    );
-                }
-            } else if cell.dist == Dist::Finite(0) {
-                flag(ctx.round, format!("non-target cell {id} claims dist 0"));
-            }
+        });
+        for &k in &self.broken {
+            check_routing_cell(ctx, k as usize, &mut out);
         }
         self.violations += out.len() as u64;
         out
@@ -257,6 +348,7 @@ pub struct ConservationMonitor {
     rounds: u64,
     violations: u64,
     offset: i64,
+    occupied: Occupied,
 }
 
 impl ConservationMonitor {
@@ -273,7 +365,13 @@ impl Monitor for ConservationMonitor {
 
     fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
         self.rounds += 1;
-        let population = ctx.state.entity_count() as i64;
+        let population: usize = self
+            .occupied
+            .refresh(ctx)
+            .iter()
+            .map(|&k| ctx.state.cells[k as usize].members.len())
+            .sum();
+        let population = population as i64;
         let expected =
             (ctx.inserted_total - ctx.consumed_total.min(ctx.inserted_total)) as i64;
         if !ctx.corrupted.is_empty() {
@@ -320,6 +418,10 @@ pub fn stabilization_bound(config: &SystemConfig) -> u64 {
 /// routing (in the sense of [`analysis::routing_stabilized`]) must
 /// re-stabilize within [`stabilization_bound`] rounds. Reports at most one
 /// violation per disturbance epoch.
+///
+/// The verdict is kept as a count of unstable cells under a cached `ρ`,
+/// re-judged per cell with the clause `routing_stabilized` folds over the
+/// grid; `ρ` is recomputed only when a `failed` flag flips.
 #[derive(Debug)]
 pub struct StabilizationMonitor {
     bound: u64,
@@ -328,6 +430,62 @@ pub struct StabilizationMonitor {
     reported_epoch: bool,
     violations: u64,
     probe: Option<StabilizationProbe>,
+    stability: Stability,
+}
+
+/// The per-cell stability verdicts behind [`StabilizationMonitor`].
+#[derive(Debug, Default)]
+struct Stability {
+    /// `ρ` for the `failed` flags in `failed`; `None` before the first round.
+    rho: Option<Distances>,
+    /// Each cell's `failed` flag as of the last observed round.
+    failed: Vec<bool>,
+    /// Each cell's verdict: `true` while it is not stable.
+    unstable: Vec<bool>,
+    unstable_count: usize,
+    last_round: Option<u64>,
+}
+
+impl Stability {
+    /// Re-judges the cells that may have changed (all of them after a
+    /// `failed` flip, since `ρ` moves with it) and returns whether routing
+    /// is stabilized.
+    fn refresh(&mut self, ctx: &MonitorCtx<'_>) -> bool {
+        let n = ctx.state.cells.len();
+        if self.unstable.len() != n {
+            *self = Stability {
+                failed: vec![false; n],
+                unstable: vec![false; n],
+                ..Stability::default()
+            };
+        }
+        let mut scope = scope(ctx, &mut self.last_round);
+        let mut flipped = false;
+        for_each_cell(scope, n, |k| {
+            let failed = ctx.state.cells[k].failed;
+            flipped |= failed != self.failed[k];
+            self.failed[k] = failed;
+        });
+        if flipped || self.rho.is_none() {
+            self.rho = Some(analysis::rho(ctx.config, ctx.state));
+            scope = None;
+        }
+        let rho = self.rho.as_ref().expect("ρ was just computed");
+        let dims = ctx.config.dims();
+        for_each_cell(scope, n, |k| {
+            let stable =
+                analysis::cell_stabilized(ctx.config, rho, dims.id_at(k), &ctx.state.cells[k]);
+            if self.unstable[k] == stable {
+                self.unstable[k] = !stable;
+                if stable {
+                    self.unstable_count -= 1;
+                } else {
+                    self.unstable_count += 1;
+                }
+            }
+        });
+        self.unstable_count == 0
+    }
 }
 
 /// A shared read-out of a [`StabilizationMonitor`]'s verdict, for callers
@@ -388,6 +546,7 @@ impl StabilizationMonitor {
             reported_epoch: false,
             violations: 0,
             probe: None,
+            stability: Stability::default(),
         }
     }
 
@@ -430,7 +589,7 @@ impl Monitor for StabilizationMonitor {
             self.stabilized_at = None;
             self.reported_epoch = false;
         }
-        let out = if analysis::routing_stabilized(ctx.config, ctx.state) {
+        let out = if self.stability.refresh(ctx) {
             if self.stabilized_at.is_none() {
                 self.stabilized_at = Some(ctx.round);
             }
@@ -498,6 +657,7 @@ pub struct CapacityMonitor {
     violations: u64,
     /// Highest occupancy ever observed.
     peak: usize,
+    last_round: Option<u64>,
 }
 
 impl CapacityMonitor {
@@ -515,6 +675,7 @@ impl CapacityMonitor {
             rounds: 0,
             violations: 0,
             peak: 0,
+            last_round: None,
         }
     }
 }
@@ -528,15 +689,18 @@ impl Monitor for CapacityMonitor {
         self.rounds += 1;
         let dims = ctx.config.dims();
         let mut out = Vec::new();
-        for (k, cell) in ctx.state.cells.iter().enumerate() {
-            let occupancy = cell.members.len();
+        // An unchanged cell keeps its occupancy, so its latch and its share
+        // of `peak` already hold.
+        let scope = scope(ctx, &mut self.last_round);
+        for_each_cell(scope, ctx.state.cells.len(), |k| {
+            let occupancy = ctx.state.cells[k].members.len();
             self.peak = self.peak.max(occupancy);
             if occupancy > self.capacity as usize {
                 if !self.over[k] {
                     self.over[k] = true;
                     self.violations += 1;
                     out.push(MonitorViolation {
-                        monitor: self.name(),
+                        monitor: "capacity",
                         round: ctx.round,
                         detail: format!(
                             "cell {} holds {occupancy} entities over capacity {}",
@@ -548,7 +712,7 @@ impl Monitor for CapacityMonitor {
             } else {
                 self.over[k] = false;
             }
-        }
+        });
         out
     }
 
@@ -789,6 +953,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             for m in monitors.iter_mut() {
                 all.extend(m.observe(&ctx));
@@ -835,6 +1000,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: 0,
             inserted_total: 2,
+            changed: None,
         };
         let vs = m.observe(&ctx);
         assert_eq!(vs.len(), 1);
@@ -861,10 +1027,36 @@ mod tests {
             ambient_chaos: false,
             consumed_total: 0,
             inserted_total: 0,
+            changed: None,
         };
         let vs = m.observe(&ctx);
         assert_eq!(vs.len(), 1);
         assert!(vs[0].detail.contains("non-neighbor"));
+    }
+
+    #[test]
+    fn routing_monitor_flags_off_grid_pointer() {
+        let sys = System::new(config());
+        let dims = sys.config().dims();
+        let mut state = sys.state().clone();
+        // ⟨4,1⟩ is a unit step east of ⟨3,1⟩, but off the 4×4 grid.
+        state.cell_mut(dims, CellId::new(3, 1)).next = Some(CellId::new(4, 1));
+        let mut m = RoutingMonitor::new();
+        let ctx = MonitorCtx {
+            config: sys.config(),
+            state: &state,
+            round: 3,
+            failed: &[],
+            recovered: &[],
+            corrupted: &[],
+            ambient_chaos: false,
+            consumed_total: 0,
+            inserted_total: 0,
+            changed: None,
+        };
+        let vs = m.observe(&ctx);
+        assert_eq!(vs.len(), 1);
+        assert!(vs[0].detail.contains("routes to non-neighbor ⟨4, 1⟩"));
     }
 
     #[test]
@@ -881,6 +1073,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: 0,
             inserted_total: 5, // claims 5 inserted but the state is empty
+            changed: None,
         };
         let vs = m.observe(&ctx);
         assert_eq!(vs.len(), 1);
@@ -906,6 +1099,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             assert_eq!(m.observe(&ctx), Vec::new());
         }
@@ -924,6 +1118,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: sys.consumed_total(),
             inserted_total: sys.inserted_total(),
+            changed: None,
         };
         m.observe(&ctx);
         assert_eq!(m.stabilized_at().is_some(), {
@@ -951,6 +1146,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             fired.extend(m.observe(&ctx));
         }
@@ -973,6 +1169,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: 0,
             inserted_total: inserted,
+            changed: None,
         };
         static VICTIM: [CellId; 1] = [CellId::new(1, 1)];
         // Discontinuity round: the ledger says 3, the state holds 0. The
@@ -1004,6 +1201,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             m.observe(&ctx);
         }
@@ -1021,6 +1219,7 @@ mod tests {
             ambient_chaos: false,
             consumed_total: sys.consumed_total(),
             inserted_total: sys.inserted_total(),
+            changed: None,
         };
         m.observe(&disturbed);
         assert_eq!(probe.last_disturbance(), sys.round());
@@ -1078,6 +1277,7 @@ mod tests {
                 ambient_chaos: schedule.active(round),
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             assert_eq!(m.observe(&ctx), Vec::new(), "round {round}");
         }
@@ -1109,6 +1309,7 @@ mod tests {
                 ambient_chaos: true,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             })
         };
         assert_eq!(observe(&mut m, &sys, 1), Vec::new());
@@ -1149,6 +1350,7 @@ mod tests {
                 ambient_chaos: false,
                 consumed_total: sys.consumed_total(),
                 inserted_total: sys.inserted_total(),
+                changed: None,
             };
             m.observe(&ctx)
         };

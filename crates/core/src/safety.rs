@@ -49,10 +49,27 @@ impl std::error::Error for SafetyViolation {}
 ///
 /// Returns the first violating pair found (deterministic order).
 pub fn check_safe(config: &SystemConfig, state: &SystemState) -> Result<(), SafetyViolation> {
+    check_safe_in(config, state, 0..state.cells.len())
+}
+
+/// [`check_safe`] over the cells at the given arena indices only, visited
+/// in the order given. Empty cells can never violate `Safe`, so scanning
+/// just the occupied cells in ascending order finds the same first pair as
+/// the full scan.
+///
+/// # Errors
+///
+/// Returns the first violating pair found.
+pub(crate) fn check_safe_in(
+    config: &SystemConfig,
+    state: &SystemState,
+    cells: impl IntoIterator<Item = usize>,
+) -> Result<(), SafetyViolation> {
     let dims = config.dims();
     let d = config.params().d();
-    for id in dims.iter() {
-        let cell = state.cell(dims, id);
+    for k in cells {
+        let id = dims.id_at(k);
+        let cell = &state.cells[k];
         let entities: Vec<Entity> = cell.entities().collect();
         for (a_idx, a) in entities.iter().enumerate() {
             for b in &entities[a_idx + 1..] {
@@ -98,9 +115,24 @@ impl std::error::Error for MarginViolation {}
 ///
 /// Returns the first protruding entity found.
 pub fn check_invariant1(config: &SystemConfig, state: &SystemState) -> Result<(), MarginViolation> {
+    check_invariant1_in(config, state, 0..state.cells.len())
+}
+
+/// [`check_invariant1`] over the cells at the given arena indices only,
+/// visited in the order given (see [`check_safe_in`]).
+///
+/// # Errors
+///
+/// Returns the first protruding entity found.
+pub(crate) fn check_invariant1_in(
+    config: &SystemConfig,
+    state: &SystemState,
+    cells: impl IntoIterator<Item = usize>,
+) -> Result<(), MarginViolation> {
     let dims = config.dims();
-    for id in dims.iter() {
-        for e in state.cell(dims, id).entities() {
+    for k in cells {
+        let id = dims.id_at(k);
+        for e in state.cells[k].entities() {
             if !crate::source::within_cell_margins(config.params(), id, e.pos) {
                 return Err(MarginViolation {
                     cell: id,
@@ -145,10 +177,25 @@ pub fn check_invariant2(
     config: &SystemConfig,
     state: &SystemState,
 ) -> Result<(), DisjointnessViolation> {
+    check_invariant2_in(config, state, 0..state.cells.len())
+}
+
+/// [`check_invariant2`] among the cells at the given arena indices only,
+/// visited in the order given (see [`check_safe_in`]).
+///
+/// # Errors
+///
+/// Returns the first doubly-claimed entity found.
+pub(crate) fn check_invariant2_in(
+    config: &SystemConfig,
+    state: &SystemState,
+    cells: impl IntoIterator<Item = usize>,
+) -> Result<(), DisjointnessViolation> {
     let dims = config.dims();
     let mut owner: HashMap<EntityId, CellId> = HashMap::new();
-    for id in dims.iter() {
-        for &eid in state.cell(dims, id).members.keys() {
+    for k in cells {
+        let id = dims.id_at(k);
+        for &eid in state.cells[k].members.keys() {
             if let Some(&prev) = owner.get(&eid) {
                 return Err(DisjointnessViolation {
                     entity: eid,

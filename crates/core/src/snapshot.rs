@@ -204,12 +204,25 @@ pub fn encode_delta_into(out: &mut Vec<u8>, prev: &SystemState, cur: &SystemStat
         cur.cells.len(),
         "delta endpoints must share a grid"
     );
+    encode_delta_over(out, prev, cur, 0..cur.cells.len());
+}
+
+/// [`encode_delta_into`] comparing only the cells at `cells`, which must
+/// ascend and include every cell where `prev` and `cur` differ — then the
+/// bytes equal the full diff's.
+fn encode_delta_over(
+    out: &mut Vec<u8>,
+    prev: &SystemState,
+    cur: &SystemState,
+    cells: impl IntoIterator<Item = usize>,
+) {
     put_u64(out, cur.next_entity_id);
     let count_at = out.len();
     put_u32(out, 0);
     let mut changed = 0u32;
-    for (k, (p, c)) in prev.cells.iter().zip(cur.cells.iter()).enumerate() {
-        if p != c {
+    for k in cells {
+        let c = &cur.cells[k];
+        if prev.cells[k] != *c {
             put_u32(out, k as u32);
             put_cell(out, c);
             changed += 1;
@@ -631,6 +644,10 @@ pub struct Recorder {
     prev: Option<SystemState>,
     /// Reusable mirror for [`Recorder::record_engine`] exports.
     mirror: Option<SystemState>,
+    /// The engine round `mirror` (and so `prev`) last recorded, while no
+    /// hand-recorded frame has replaced `prev` since: the next engine round
+    /// then needs only its changed cells exported and diffed.
+    mirror_round: Option<u64>,
     /// Reusable frame-body buffer.
     scratch: Vec<u8>,
 }
@@ -652,6 +669,7 @@ impl Recorder {
             keyframe_interval,
             prev: None,
             mirror: None,
+            mirror_round: None,
             scratch: Vec::new(),
         }
     }
@@ -669,6 +687,14 @@ impl Recorder {
     /// Records one round's state. Rounds must be recorded contiguously
     /// (`Recording::parse` enforces it on read-back).
     pub fn record(&mut self, round: u64, state: &SystemState) {
+        self.mirror_round = None;
+        self.push(round, state, None);
+    }
+
+    /// Records `state`, given `changed`: ascending indices of a superset of
+    /// the cells where it differs from the previous frame's state, or
+    /// `None` to compare every cell.
+    fn push(&mut self, round: u64, state: &SystemState, changed: Option<&[u32]>) {
         let keyframe =
             self.prev.is_none() || self.writer.rounds().is_multiple_of(self.keyframe_interval);
         self.scratch.clear();
@@ -677,26 +703,58 @@ impl Recorder {
             self.writer.push(round, FrameKind::Keyframe, &self.scratch);
         } else {
             let prev = self.prev.as_ref().expect("delta frames have a predecessor");
-            encode_delta_into(&mut self.scratch, prev, state);
+            match changed {
+                Some(cells) => encode_delta_over(
+                    &mut self.scratch,
+                    prev,
+                    state,
+                    cells.iter().map(|&k| k as usize),
+                ),
+                None => encode_delta_into(&mut self.scratch, prev, state),
+            }
             self.writer.push(round, FrameKind::Delta, &self.scratch);
         }
-        match &mut self.prev {
-            Some(p) => p.clone_from(state),
-            None => self.prev = Some(state.clone()),
+        match (&mut self.prev, changed) {
+            (Some(p), Some(cells)) => {
+                for &k in cells {
+                    p.cells[k as usize].clone_from(&state.cells[k as usize]);
+                }
+                p.next_entity_id = state.next_entity_id;
+            }
+            (Some(p), None) => p.clone_from(state),
+            (None, _) => self.prev = Some(state.clone()),
         }
     }
 
     /// Exports `engine`'s current state into an internal mirror (reusing its
     /// allocations round over round) and records it at the engine's current
-    /// round number.
+    /// round number. When the previous frame was the engine's previous
+    /// round, only [`Engine::changed_cells`] are exported and diffed.
     pub fn record_engine(&mut self, engine: &Engine) {
+        let round = engine.round();
         let mut mirror = match self.mirror.take() {
             Some(m) if m.cells.len() == engine.config().dims().cell_count() => m,
-            _ => engine.config().initial_state(),
+            _ => {
+                self.mirror_round = None;
+                engine.config().initial_state()
+            }
         };
-        engine.store_state(&mut mirror);
-        self.record(engine.round(), &mirror);
+        let follows = self.mirror_round.is_some_and(|r| r + 1 == round);
+        let changed = engine.changed_cells().filter(|_| follows);
+        match changed {
+            Some(cells) => engine.store_cells(&mut mirror, cells),
+            None => engine.store_state(&mut mirror),
+        }
+        self.push(round, &mirror, changed);
         self.mirror = Some(mirror);
+        self.mirror_round = Some(round);
+    }
+
+    /// Forgets which engine round the mirror holds, so the next
+    /// [`Recorder::record_engine`] exports and compares every cell — for an
+    /// attach, where the engine may not be the one last recorded.
+    pub(crate) fn forget_mirror(&mut self) {
+        self.mirror_round = None;
     }
 
     /// State frames recorded so far.

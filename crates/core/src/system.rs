@@ -522,6 +522,22 @@ impl System {
         self.engine.active_cells()
     }
 
+    /// The cells the most recent [`System::step`] may have changed, as
+    /// ascending arena indices ([`GridDims::index`] order) — a superset of
+    /// the cells whose state differs from the previous round's. `None` when
+    /// any cell may have: see [`Engine::changed_cells`], plus any edit to
+    /// the state since that step (fault injection, [`System::set_state`],
+    /// entity seeding). Monitors take it as [`MonitorCtx::changed`].
+    ///
+    /// [`MonitorCtx::changed`]: crate::MonitorCtx::changed
+    pub fn changed_cells(&self) -> Option<&[u32]> {
+        if self.engine_synced {
+            self.engine.changed_cells()
+        } else {
+            None
+        }
+    }
+
     /// Executes one `update` transition (one synchronous round) and returns
     /// what happened.
     pub fn step(&mut self) -> RoundEvents {
@@ -531,7 +547,12 @@ impl System {
         }
         self.engine.set_round(self.round);
         let events = self.engine.step().clone();
-        self.engine.store_state(&mut self.state);
+        // The mirror holds the previous round's state, so writing back the
+        // round's changed cells brings it up to date.
+        match self.engine.changed_cells() {
+            Some(changed) => self.engine.store_cells(&mut self.state, changed),
+            None => self.engine.store_state(&mut self.state),
+        }
         self.round += 1;
         self.consumed_total += events.consumed.len() as u64;
         self.inserted_total += events.inserted.len() as u64;

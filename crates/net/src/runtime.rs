@@ -1355,6 +1355,9 @@ fn collect_rounds(
                 || partition.is_some_and(|s| s.active(round)),
             consumed_total,
             inserted_total,
+            // The collector assembles each round's state from snapshots and
+            // does not track which cells changed: monitors scan in full.
+            changed: None,
         };
         let fresh_violations = violations.len();
         for monitor in monitors.iter_mut() {
