@@ -38,8 +38,8 @@ use crate::trace_overhead::TraceOverheadReport;
 /// runs on small grids swing hard under transient machine load, so the
 /// floor only trips on order-of-magnitude collapses, not scheduler noise.
 pub const SPEEDUP_FLOOR: f64 = 0.15;
-/// The mega matrix is noisier still (threaded, occupancy-dependent): its
-/// floor is looser.
+/// The mega matrix is noisier still (occupancy-dependent): its floor is
+/// looser.
 pub const MEGA_SPEEDUP_FLOOR: f64 = 0.1;
 /// A fresh overhead ratio may exceed the committed one by at most this
 /// factor (PR5 telemetry, PR9 tracing, PR10 recording).
@@ -343,7 +343,6 @@ mod tests {
                     speedup_sparse_vs_dense: 10.0,
                     active_cells: 40,
                     occupancy: 0.01,
-                    sharded_ns_per_round: vec![(1, 100)],
                 }],
             },
             trace: TraceOverheadReport {

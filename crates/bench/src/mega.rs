@@ -1,19 +1,16 @@
-//! Mega-grid scaling baseline: the sparse active-set scheduler and the
-//! sharded row-band executor timed against the dense sweep on grids from
-//! 64² up to 1024² (1,048,576 cells), reported as machine-readable JSON
-//! (`BENCH_PR8.json`; format documented in `DESIGN.md` §13).
+//! Mega-grid scaling baseline: the sparse active-set scheduler timed
+//! against the dense sweep on grids from 64² up to 1024² (1,048,576
+//! cells), reported as machine-readable JSON (`BENCH_PR8.json`; format
+//! documented in `DESIGN.md` §13).
 //!
-//! Three engine configurations are timed per grid size, at identical
+//! Two engine configurations are timed per grid size, at identical
 //! semantics (pinned by `tests/sparse_differential.rs`, and spot-checked
 //! here on the smallest grid before any timing):
 //!
-//! * **dense** — [`ExecMode::Dense`]: every phase sweeps every cell, the
-//!   pre-PR8 behavior;
+//! * **dense** — [`ExecMode::Dense`]: every phase sweeps every cell;
 //! * **sparse** — [`ExecMode::Sparse`] (the default): Route/Signal/Move
 //!   visit only cells whose inputs changed, so quiescent regions cost
-//!   nothing;
-//! * **sparse+sharded** — the sparse phases fanned out to 1/2/4/8 row-band
-//!   workers, the scaling curve.
+//!   nothing.
 //!
 //! The workload is the corridor scenario every other baseline uses — one
 //! source, one target, both on row 1 — which is *quiescent-heavy* at mega
@@ -24,10 +21,7 @@
 //! be read against how sparse the round actually was.
 //!
 //! The committed report is generated on one machine in one sitting; the
-//! `cores` field records how much hardware parallelism the sharded curve
-//! had available (on a single-core runner the curve measures fan-out
-//! overhead, not speedup — the byte-identity guarantees still hold, which
-//! is what the differential suite and CI pin).
+//! `cores` field records the hardware threads that machine had.
 
 use std::time::Instant;
 
@@ -39,9 +33,6 @@ pub const MEGA_GRID_SIZES: [u16; 5] = [64, 128, 256, 512, 1024];
 
 /// Grid sizes timed under `--quick` (CI smoke): capped at 128².
 pub const QUICK_GRID_SIZES: [u16; 2] = [64, 128];
-
-/// Worker counts of the sharded scaling curve.
-pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Measured results for one grid size.
 #[derive(Clone, Debug)]
@@ -66,9 +57,6 @@ pub struct MegaScenarioResult {
     pub active_cells: usize,
     /// `active_cells / cells` — how sparse the steady rounds actually were.
     pub occupancy: f64,
-    /// `(workers, median ns/round)` of the sharded sparse engine, in
-    /// [`WORKER_COUNTS`] order.
-    pub sharded_ns_per_round: Vec<(usize, u64)>,
 }
 
 /// A full run of the mega matrix.
@@ -80,8 +68,7 @@ pub struct MegaReport {
     pub quick: bool,
     /// Timed repetitions per configuration (median taken).
     pub reps: usize,
-    /// Hardware threads available to the sharded curve when this report
-    /// was generated.
+    /// Hardware threads available when this report was generated.
     pub cores: usize,
     /// Per-scenario results, in grid-size order.
     pub scenarios: Vec<MegaScenarioResult>,
@@ -102,12 +89,9 @@ fn median(mut xs: Vec<u64>) -> u64 {
     xs[xs.len() / 2]
 }
 
-fn make_engine(config: &SystemConfig, mode: ExecMode, workers: usize) -> Engine {
+fn make_engine(config: &SystemConfig, mode: ExecMode) -> Engine {
     let mut engine = Engine::new(config.clone());
     engine.set_exec_mode(mode);
-    if workers > 1 {
-        engine.set_workers(workers);
-    }
     engine
 }
 
@@ -117,12 +101,11 @@ fn make_engine(config: &SystemConfig, mode: ExecMode, workers: usize) -> Engine 
 fn time_mode(
     config: &SystemConfig,
     mode: ExecMode,
-    workers: usize,
     warmup: u64,
     rounds: u64,
     reps: usize,
 ) -> (u64, usize) {
-    let mut engine = make_engine(config, mode, workers);
+    let mut engine = make_engine(config, mode);
     for _ in 0..warmup {
         engine.step();
     }
@@ -138,29 +121,21 @@ fn time_mode(
     (median(samples), engine.active_cells())
 }
 
-/// The cheap semantics spot-check run before any timing: dense, sparse, and
-/// sparse+4-workers agree on the exported state after `rounds` rounds. The
+/// The cheap semantics spot-check run before any timing: dense and sparse
+/// agree on the exported state after `rounds` rounds. The
 /// real guarantee is the property suite (`tests/sparse_differential.rs`);
 /// this guards against benchmarking a silently mis-wired build.
 fn check_semantics(config: &SystemConfig, rounds: u64) {
-    let mut dense = make_engine(config, ExecMode::Dense, 1);
-    let mut sparse = make_engine(config, ExecMode::Sparse, 1);
-    let mut sharded = make_engine(config, ExecMode::Sparse, 4);
+    let mut dense = make_engine(config, ExecMode::Dense);
+    let mut sparse = make_engine(config, ExecMode::Sparse);
     for _ in 0..rounds {
         dense.step();
         sparse.step();
-        sharded.step();
     }
-    let reference = dense.export_state();
     assert_eq!(
         sparse.export_state(),
-        reference,
+        dense.export_state(),
         "sparse diverged from dense; benchmark numbers would be meaningless"
-    );
-    assert_eq!(
-        sharded.export_state(),
-        reference,
-        "sharded diverged from dense; benchmark numbers would be meaningless"
     );
 }
 
@@ -169,8 +144,8 @@ fn check_semantics(config: &SystemConfig, rounds: u64) {
 ///
 /// # Panics
 ///
-/// Panics if the sparse or sharded engine diverges from the dense sweep on
-/// the smallest grid.
+/// Panics if the sparse engine diverges from the dense sweep on the
+/// smallest grid.
 pub fn run(quick: bool) -> MegaReport {
     let sizes: &[u16] = if quick {
         &QUICK_GRID_SIZES
@@ -188,16 +163,9 @@ pub fn run(quick: bool) -> MegaReport {
             // starts filling the corridor; steady rounds after that are
             // representative of the long-run regime.
             let warmup = 2 * u64::from(n) + 64;
-            let (dense, _) = time_mode(&config, ExecMode::Dense, 1, warmup, rounds, reps);
+            let (dense, _) = time_mode(&config, ExecMode::Dense, warmup, rounds, reps);
             let (sparse, active_cells) =
-                time_mode(&config, ExecMode::Sparse, 1, warmup, rounds, reps);
-            let sharded_ns_per_round = WORKER_COUNTS
-                .iter()
-                .map(|&w| {
-                    let (ns, _) = time_mode(&config, ExecMode::Sparse, w, warmup, rounds, reps);
-                    (w, ns)
-                })
-                .collect();
+                time_mode(&config, ExecMode::Sparse, warmup, rounds, reps);
             MegaScenarioResult {
                 name: format!("{n}x{n}"),
                 n,
@@ -209,7 +177,6 @@ pub fn run(quick: bool) -> MegaReport {
                 speedup_sparse_vs_dense: dense as f64 / sparse.max(1) as f64,
                 active_cells,
                 occupancy: active_cells as f64 / cells as f64,
-                sharded_ns_per_round,
             }
         })
         .collect();
@@ -255,17 +222,7 @@ impl MegaReport {
                 sc.speedup_sparse_vs_dense
             ));
             s.push_str(&format!("      \"active_cells\": {},\n", sc.active_cells));
-            s.push_str(&format!("      \"occupancy\": {:.4},\n", sc.occupancy));
-            s.push_str("      \"sharded_ns_per_round\": {\n");
-            for (i, (w, ns)) in sc.sharded_ns_per_round.iter().enumerate() {
-                s.push_str(&format!("        \"{w}\": {ns}"));
-                s.push_str(if i + 1 < sc.sharded_ns_per_round.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            s.push_str("      }\n");
+            s.push_str(&format!("      \"occupancy\": {:.4}\n", sc.occupancy));
             s.push_str(if k + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
         }
         s.push_str("  ]\n}\n");
@@ -297,11 +254,6 @@ mod tests {
                 sc.active_cells,
                 sc.cells
             );
-            assert_eq!(sc.sharded_ns_per_round.len(), WORKER_COUNTS.len());
-            for &(w, ns) in &sc.sharded_ns_per_round {
-                assert!(WORKER_COUNTS.contains(&w));
-                assert!(ns > 0);
-            }
         }
         let json = report.to_json();
         let parsed = Json::parse(&json).expect("report is valid JSON");

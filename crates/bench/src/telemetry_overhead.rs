@@ -78,7 +78,6 @@ fn cascade_scenario(rounds: u64, settle: u64) -> CascadeScenario {
         restart_after: None,
         rounds,
         settle,
-        workers: 1,
     }
 }
 

@@ -37,7 +37,7 @@ USAGE:
   cellflow chaos [--n 6] [--rounds 300] [--seed 1] [--active 100]
                  [--drop 0.05] [--delay 0.05] [--dup 0.1] [--reorder 0.1]
                  [--bursts 2] [--blackouts 1] [--flappers 1] [--hard 1]
-                 [--kills 0] [--timeout-ms 5000] [--shard-workers 1]
+                 [--kills 0] [--timeout-ms 5000]
                                      seeded fault-injection campaign against
                                      the message-passing runtime, judged by
                                      online invariant monitors
@@ -45,7 +45,6 @@ USAGE:
                  [--threshold 2] [--sustain 2] [--backoff]
                  [--backoff-base 4] [--backoff-max 32] [--restart 0]
                  [--budget 4294967295] [--timeout-ms 5000]
-                 [--shard-workers 1]
                                      cascading-failure campaign on a
                                      finite-capacity grid: overloaded cells
                                      crash endogenously and shed load onto
@@ -57,7 +56,7 @@ USAGE:
                                      byte-identical report per seed
   cellflow chaos --partition SPEC [--n 5] [--rounds 120] [--start 10]
                  [--heal 80] [--no-heal] [--settle B+2] [--seed 1]
-                 [--timeout-ms 5000] [--shard-workers 1]
+                 [--timeout-ms 5000]
                                      scripted link-fault / split-brain
                                      campaign: SPEC is split@col=C,
                                      split@row=R, island@i0,j0,i1,j1, or
@@ -122,9 +121,9 @@ USAGE:
                                      steady-state allocations first), the
                                      telemetry-off vs telemetry-on overhead
                                      baseline, the mega-grid matrix
-                                     (sparse active-set vs dense, sharded
-                                     1/2/4/8-worker scaling, 64\u{b2} up to
-                                     1024\u{b2}; --quick caps it at 128\u{b2}),
+                                     (sparse active-set vs dense, 64\u{b2} up
+                                     to 1024\u{b2}; --quick caps it at
+                                     128\u{b2}),
                                      the causal-tracing overhead baseline,
                                      and the flight-recording overhead
                                      baseline — all five back-to-back
@@ -169,10 +168,6 @@ cell-round id and emits per-round causal span trees — round root, fault /
 recover / corrupt leaves, the barrier's critical path, and per-cell work —
 into the same stream, ready for `cellflow trace`.
 
---shard-workers W runs the shared-variable reference's sparse engine on W
-row-band shard threads. Reports are byte-identical at every W — the CI
-smoke job diffs W=1 against W=4 to pin that.
-
 All lengths (--l, --rs, --v) are in milli-cells: 250 = 0.25 cell sides.";
 
 /// Dispatches a parsed command line.
@@ -203,7 +198,10 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "run" => run(&flags),
         "run3d" => run3d(&flags),
         "multi" => multi(&flags),
-        "demo" => demo(),
+        "demo" => {
+            flags.reject_unused()?;
+            demo()
+        }
         "fig7" => fig(&flags, Fig::Seven),
         "fig8" => fig(&flags, Fig::Eight),
         "fig9" => fig(&flags, Fig::Nine),
@@ -237,6 +235,7 @@ fn run(flags: &Flags) -> Result<(), String> {
     let every: u64 = flags.get("every", 10)?;
     let watch = flags.has("watch");
     let show_heatmap = flags.has("heatmap");
+    flags.reject_unused()?;
 
     let params = Params::from_milli(l, rs, v).map_err(|e| e.to_string())?;
     let config = SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
@@ -295,6 +294,7 @@ fn run3d(flags: &Flags) -> Result<(), String> {
     let l: i64 = flags.get("l", 200)?;
     let rs: i64 = flags.get("rs", 50)?;
     let v: i64 = flags.get("v", 150)?;
+    flags.reject_unused()?;
     let params = Params::from_milli(l, rs, v).map_err(|e| e.to_string())?;
     let config = SystemConfig3::new(
         Dims3::new(n, n, nz),
@@ -328,6 +328,7 @@ fn multi(flags: &Flags) -> Result<(), String> {
     }
     let rounds: u64 = flags.get("rounds", 2_000)?;
     let capacity: usize = flags.get("capacity", 1)?;
+    flags.reject_unused()?;
     let params = Params::from_milli(200, 50, 150).expect("static parameters are valid");
     let mid = n / 2;
     let config = MultiConfig::new(GridDims::square(n), params)
@@ -381,12 +382,14 @@ fn fig(flags: &Flags, which: Fig) -> Result<(), String> {
     match which {
         Fig::Seven => {
             let k: u64 = flags.get("rounds", 2_500)?;
+            flags.reject_unused()?;
             let series = cellflow_bench::fig7(k, threads);
             println!("Figure 7: throughput vs rs (8×8, l=0.25, K={k})\n");
             println!("{}", format_table("rs", &series));
         }
         Fig::Eight => {
             let k: u64 = flags.get("rounds", 2_500)?;
+            flags.reject_unused()?;
             let series = cellflow_bench::fig8(k, threads);
             println!("Figure 8: throughput vs turns (8×8, rs=0.05, K={k})\n");
             println!("{}", format_table("turns", &series));
@@ -394,6 +397,7 @@ fn fig(flags: &Flags, which: Fig) -> Result<(), String> {
         Fig::Nine => {
             let k: u64 = flags.get("rounds", 20_000)?;
             let seeds: u64 = flags.get("seeds", 3)?;
+            flags.reject_unused()?;
             let series = cellflow_bench::fig9(k, threads, seeds);
             println!("Figure 9: throughput vs pf (8×8, rs=0.05, l=0.2, v=0.2, K={k})\n");
             println!("{}", format_table("pf", &series));
@@ -404,6 +408,7 @@ fn fig(flags: &Flags, which: Fig) -> Result<(), String> {
 
 fn paths(flags: &Flags) -> Result<(), String> {
     let k: u64 = flags.get("rounds", 2_500)?;
+    flags.reject_unused()?;
     let series = cellflow_bench::path_length(k, default_threads());
     println!("Throughput vs straight path length (8×8, l=0.25, rs=0.05, v=0.2, K={k})\n");
     println!("{}", format_table("len", &[series]));
@@ -416,6 +421,7 @@ fn mc(flags: &Flags) -> Result<(), String> {
     let recovery = flags.has("recovery");
     let capacity: u32 = flags.get("capacity", 0)?;
     let cut = flags.has("cut");
+    flags.reject_unused()?;
 
     let mut config = SystemConfig::new(
         GridDims::new(3, 1),
@@ -561,7 +567,6 @@ fn chaos(flags: &Flags) -> Result<(), String> {
     let dup: f64 = flags.get("dup", 0.1)?;
     let reorder: f64 = flags.get("reorder", 0.1)?;
     let timeout_ms: u64 = flags.get("timeout-ms", 5_000)?;
-    let shard_workers: usize = flags.get("shard-workers", 1)?;
     for (name, rate) in [
         ("drop", drop),
         ("delay", delay),
@@ -586,8 +591,11 @@ fn chaos(flags: &Flags) -> Result<(), String> {
         kills: flags.get("kills", 0)?,
         ..CampaignSpec::default()
     };
-    let plan = FaultPlan::random_campaign(&config, &spec, seed);
     let recording_to = crate::record::record_flags(flags)?;
+    let telemetry_out = campaign_telemetry(flags, "chaos")?;
+    let traced = flags.has("trace");
+    flags.reject_unused()?;
+    let plan = FaultPlan::random_campaign(&config, &spec, seed);
     let recorder = match &recording_to {
         Some((_, interval)) => {
             let sc = crate::record::RecScenario::Chaos {
@@ -634,7 +642,7 @@ fn chaos(flags: &Flags) -> Result<(), String> {
          (quiet after round {active})"
     );
 
-    let campaign = campaign_telemetry(flags, "chaos")?;
+    let campaign = telemetry_out.map(TelemetryOut::open).transpose()?;
     let monitors = standard_monitors(&config);
     let mut net = NetSystem::new(config.clone())
         .map_err(|e| e.to_string())?
@@ -644,7 +652,7 @@ fn chaos(flags: &Flags) -> Result<(), String> {
     if let Some(ct) = &campaign {
         net = net.with_telemetry(std::sync::Arc::clone(&ct.telemetry));
     }
-    if flags.has("trace") {
+    if traced {
         net = net.with_tracer(cellflow_telemetry::Tracer::new(seed));
     }
     let (report, recording) = match net.run_monitored_recorded(rounds, monitors, recorder) {
@@ -701,12 +709,6 @@ fn chaos(flags: &Flags) -> Result<(), String> {
     // faulty cell keeps participating in the rounds (no kills).
     if drop == 0.0 && delay == 0.0 && kills == 0 {
         let mut reference = System::new(config);
-        if shard_workers > 1 {
-            // Not printed: the report must stay byte-identical across
-            // worker counts, which is exactly what the CI smoke job diffs.
-            reference.set_workers(shard_workers);
-            reference.set_shard_min(1);
-        }
         let mut model = plan;
         for round in 0..rounds {
             model.apply(&mut reference, round);
@@ -779,7 +781,8 @@ fn cascade(flags: &Flags) -> Result<(), String> {
     let restart: u64 = flags.get("restart", 0)?;
     let budget: u32 = flags.get("budget", u32::MAX)?;
     let timeout_ms: u64 = flags.get("timeout-ms", 5_000)?;
-    let shard_workers: usize = flags.get("shard-workers", 1)?;
+    let recording_to = crate::record::record_flags(flags)?;
+    flags.reject_unused()?;
     if backoff_on && restart > 0 {
         return Err("--backoff and --restart are exclusive mitigation modes".into());
     }
@@ -790,6 +793,7 @@ fn cascade(flags: &Flags) -> Result<(), String> {
         .with_source(CellId::new(1, 0))
         .with_capacity(capacity);
     let bound = stabilization_bound(&config);
+    let total_rounds = horizon(rounds, bound + 2)?;
     // The congestion seed: block the corridor mid-way so traffic piles up
     // beneath the crash — the overload trigger does the rest.
     let base = FaultPlan::new().crash_at(8, CellId::new(1, n / 2));
@@ -820,9 +824,7 @@ fn cascade(flags: &Flags) -> Result<(), String> {
         restart_after,
         rounds,
         settle: bound + 2,
-        workers: shard_workers.max(1),
     };
-    let recording_to = crate::record::record_flags(flags)?;
     let recorder = match &recording_to {
         Some((_, interval)) => {
             let sc = crate::record::RecScenario::Cascade {
@@ -870,7 +872,6 @@ fn cascade(flags: &Flags) -> Result<(), String> {
         .with_plan(report.outcome.plan.clone())
         .with_restart_policy(policy)
         .with_round_timeout(std::time::Duration::from_millis(timeout_ms.max(1)));
-    let total_rounds = rounds + bound + 2;
     let net_report = match net.run_monitored(total_rounds, standard_monitors(&config)) {
         Ok(r) => r,
         Err(NetError::Timeout { round, silent, .. }) => {
@@ -901,10 +902,6 @@ fn cascade(flags: &Flags) -> Result<(), String> {
     // same *effective* (supervisor-rewritten) plan.
     let (effective, _) = policy.rewrite(&report.outcome.plan);
     let mut reference = System::new(config);
-    if shard_workers > 1 {
-        reference.set_workers(shard_workers);
-        reference.set_shard_min(1);
-    }
     let mut model = effective;
     for round in 0..total_rounds {
         model.apply(&mut reference, round);
@@ -961,6 +958,74 @@ fn fmt_silent(silent: &[CellId]) -> String {
         .map(|c| c.to_string())
         .collect::<Vec<_>>()
         .join(", ")
+}
+
+/// A campaign whose total round count does not fit the `u64` round
+/// counter: `rounds` campaign rounds plus a `tail` of settle or
+/// stabilization rounds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct HorizonOverflow {
+    rounds: u64,
+    tail: u64,
+}
+
+impl std::fmt::Display for HorizonOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "campaign horizon overflows: {} rounds + {} more exceed the {} round limit",
+            self.rounds,
+            self.tail,
+            u64::MAX
+        )
+    }
+}
+
+impl std::error::Error for HorizonOverflow {}
+
+impl From<HorizonOverflow> for String {
+    fn from(e: HorizonOverflow) -> String {
+        e.to_string()
+    }
+}
+
+/// `rounds + tail`, the rounds a campaign drives in total.
+pub(crate) fn horizon(rounds: u64, tail: u64) -> Result<u64, HorizonOverflow> {
+    rounds.checked_add(tail).ok_or(HorizonOverflow { rounds, tail })
+}
+
+/// `⌊2x/3⌋`, exact for every `u64` (`2 * x` alone would overflow).
+pub(crate) fn two_thirds(x: u64) -> u64 {
+    (u128::from(x) * 2 / 3) as u64
+}
+
+/// The deployment phase of a `stabilize` campaign with a corruption window
+/// of `active` rounds: a hard crash re-spawned from its sealed snapshot, a
+/// dirty tear re-spawned from a stale one, and the rounds the deployment
+/// runs — until both are back and the `2N²+2` bound (`bound`) has elapsed.
+pub(crate) struct StabilizeSchedule {
+    pub hard_victim: CellId,
+    pub hard_at: u64,
+    pub hard_respawn: u64,
+    pub tear_victim: CellId,
+    pub tear_at: u64,
+    pub tear_respawn: u64,
+    pub rounds: u64,
+}
+
+impl StabilizeSchedule {
+    pub(crate) fn new(active: u64, bound: u64) -> Result<StabilizeSchedule, HorizonOverflow> {
+        let tear_respawn = active / 2 + 10;
+        Ok(StabilizeSchedule {
+            hard_victim: CellId::new(2, 1),
+            hard_at: active / 3,
+            hard_respawn: two_thirds(active),
+            tear_victim: CellId::new(2, 2),
+            tear_at: active / 2,
+            tear_respawn,
+            rounds: horizon(active.max(tear_respawn), bound + 2)?,
+        })
+    }
 }
 
 /// Parses a whitespace-free `--partition` SPEC into a [`PartitionPlan`]
@@ -1070,11 +1135,10 @@ fn partition(flags: &Flags, spec: &str) -> Result<(), String> {
     let start: u64 = flags.get("start", 10)?;
     let seed: u64 = flags.get("seed", 1)?;
     let timeout_ms: u64 = flags.get("timeout-ms", 5_000)?;
-    let shard_workers: usize = flags.get("shard-workers", 1)?;
     let heal = if flags.has("no-heal") {
         None
     } else {
-        Some(flags.get("heal", (rounds * 2) / 3)?)
+        Some(flags.get("heal", two_thirds(rounds))?)
     };
     if let Some(h) = heal {
         if h <= start || h > rounds {
@@ -1090,6 +1154,9 @@ fn partition(flags: &Flags, spec: &str) -> Result<(), String> {
         .with_source(CellId::new(1, 0));
     let bound = stabilization_bound(&config);
     let settle: u64 = flags.get("settle", bound + 2)?;
+    let recording_to = crate::record::record_flags(flags)?;
+    flags.reject_unused()?;
+    let total_rounds = horizon(rounds, settle)?;
     let plan = parse_partition_spec(spec, GridDims::square(n), start, heal, seed)?;
 
     let heal_text = match heal {
@@ -1107,9 +1174,7 @@ fn partition(flags: &Flags, spec: &str) -> Result<(), String> {
         base: FaultPlan::new(),
         rounds,
         settle,
-        workers: shard_workers.max(1),
     };
-    let recording_to = crate::record::record_flags(flags)?;
     let recorder = match &recording_to {
         Some((_, interval)) => {
             let sc = crate::record::RecScenario::Partition {
@@ -1131,7 +1196,6 @@ fn partition(flags: &Flags, spec: &str) -> Result<(), String> {
     print!("{}", report.render());
 
     println!("\n== message-passing deployment ==\n");
-    let total_rounds = rounds + settle;
     let net = NetSystem::new(config.clone())
         .map_err(|e| e.to_string())?
         .with_partition(plan.clone())
@@ -1170,10 +1234,6 @@ fn partition(flags: &Flags, spec: &str) -> Result<(), String> {
     // same per-round cut masks through the engine.
     let schedule = plan.expand(total_rounds);
     let mut reference = System::new(config);
-    if shard_workers > 1 {
-        reference.set_workers(shard_workers);
-        reference.set_shard_min(1);
-    }
     for round in 0..total_rounds {
         reference.set_link_cuts(schedule.mask_row(round));
         reference.step();
@@ -1232,12 +1292,17 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
         return Err("--active must be at least 6".into());
     }
     let timeout_ms: u64 = flags.get("timeout-ms", 5_000)?;
+    let telemetry_out = campaign_telemetry(flags, "stabilize")?;
+    let traced = flags.has("trace");
+    let recording_to = crate::record::record_flags(flags)?;
+    flags.reject_unused()?;
 
     let params = Params::from_milli(250, 50, 200).expect("static parameters are valid");
     let config = SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
         .map_err(|e| e.to_string())?
         .with_source(CellId::new(1, 0));
     let bound = stabilization_bound(&config);
+    let schedule = StabilizeSchedule::new(active, bound)?;
 
     // Seeded corruption-only campaign, shared by both phases.
     let spec = CampaignSpec {
@@ -1275,11 +1340,15 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
     // Phase 2: the same corruptions against the deployment, plus a hard
     // crash (re-spawn from the sealed frozen-failed snapshot) and a dirty
     // tear (re-spawn from a deliberately *stale* sealed snapshot).
-    let hard_victim = CellId::new(2, 1);
-    let tear_victim = CellId::new(2, 2);
-    let (hard_at, hard_respawn) = (active / 3, 2 * active / 3);
-    let (tear_at, tear_respawn) = (active / 2, active / 2 + 10);
-    let rounds = active.max(tear_respawn) + bound + 2;
+    let StabilizeSchedule {
+        hard_victim,
+        hard_at,
+        hard_respawn,
+        tear_victim,
+        tear_at,
+        tear_respawn,
+        rounds,
+    } = schedule;
     let net_plan = plan
         .hard_crash_at(hard_at, hard_victim)
         .recover_at(hard_respawn, hard_victim);
@@ -1296,7 +1365,7 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
         Box::new(ConservationMonitor::new()),
         Box::new(StabilizationMonitor::new(&config).with_probe(&probe)),
     ];
-    let campaign = campaign_telemetry(flags, "stabilize")?;
+    let campaign = telemetry_out.map(TelemetryOut::open).transpose()?;
     let mut net = NetSystem::new(config)
         .map_err(|e| e.to_string())?
         .with_plan(net_plan)
@@ -1310,10 +1379,9 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
     if let Some(ct) = &campaign {
         net = net.with_telemetry(Arc::clone(&ct.telemetry));
     }
-    if flags.has("trace") {
+    if traced {
         net = net.with_tracer(cellflow_telemetry::Tracer::new(seed));
     }
-    let recording_to = crate::record::record_flags(flags)?;
     let recorder = match &recording_to {
         Some((_, interval)) => {
             let sc = crate::record::RecScenario::Stabilize {
@@ -1400,43 +1468,55 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
     }
 }
 
-/// The `--telemetry` bundle for a campaign command (`chaos`, `stabilize`):
-/// a metric registry plus a [`cellflow_net::NetTelemetry`] streaming JSONL
-/// events to disk with a flight recorder armed behind it.
-struct CampaignTelemetry {
-    registry: cellflow_telemetry::Registry,
-    telemetry: std::sync::Arc<cellflow_net::NetTelemetry>,
+/// The `--telemetry` artifact paths of a campaign command (`chaos`,
+/// `stabilize`).
+struct TelemetryOut {
     trace_out: String,
     flight_out: String,
     metrics_out: String,
 }
 
-/// Builds the bundle when `--telemetry` was given; `prefix` names the
-/// default artifact files (`<prefix>.trace.jsonl` etc.).
-fn campaign_telemetry(flags: &Flags, prefix: &str) -> Result<Option<CampaignTelemetry>, String> {
-    use cellflow_telemetry::{EventLog, Registry};
+/// The `--telemetry` bundle for a campaign command: a metric registry plus
+/// a [`cellflow_net::NetTelemetry`] streaming JSONL events to disk with a
+/// flight recorder armed behind it.
+struct CampaignTelemetry {
+    registry: cellflow_telemetry::Registry,
+    telemetry: std::sync::Arc<cellflow_net::NetTelemetry>,
+    out: TelemetryOut,
+}
+
+/// Reads the telemetry flags: `Some` when `--telemetry` was given; `prefix`
+/// names the default artifact files (`<prefix>.trace.jsonl` etc.).
+fn campaign_telemetry(flags: &Flags, prefix: &str) -> Result<Option<TelemetryOut>, String> {
     // `--trace` implies the telemetry bundle: causal spans ride the same
     // JSONL stream, so there is nowhere to put them without it.
     if !flags.has("telemetry") && !flags.has("trace") {
         return Ok(None);
     }
-    let trace_out: String = flags.get("trace-out", format!("{prefix}.trace.jsonl"))?;
-    let flight_out: String = flags.get("flight-out", format!("{prefix}.flight.jsonl"))?;
-    let metrics_out: String = flags.get("metrics-out", format!("{prefix}.metrics.prom"))?;
-    let registry = Registry::new();
-    let log = EventLog::new()
-        .with_stream_file(std::path::Path::new(&trace_out))
-        .map_err(|e| format!("creating {trace_out}: {e}"))?
-        .with_flight_path(std::path::PathBuf::from(&flight_out));
-    let telemetry =
-        std::sync::Arc::new(cellflow_net::NetTelemetry::new(&registry).with_event_log(log));
-    Ok(Some(CampaignTelemetry {
-        registry,
-        telemetry,
-        trace_out,
-        flight_out,
-        metrics_out,
+    Ok(Some(TelemetryOut {
+        trace_out: flags.get("trace-out", format!("{prefix}.trace.jsonl"))?,
+        flight_out: flags.get("flight-out", format!("{prefix}.flight.jsonl"))?,
+        metrics_out: flags.get("metrics-out", format!("{prefix}.metrics.prom"))?,
     }))
+}
+
+impl TelemetryOut {
+    /// Creates the JSONL stream file and arms the flight recorder.
+    fn open(self) -> Result<CampaignTelemetry, String> {
+        use cellflow_telemetry::{EventLog, Registry};
+        let registry = Registry::new();
+        let log = EventLog::new()
+            .with_stream_file(std::path::Path::new(&self.trace_out))
+            .map_err(|e| format!("creating {}: {e}", self.trace_out))?
+            .with_flight_path(std::path::PathBuf::from(&self.flight_out));
+        let telemetry =
+            std::sync::Arc::new(cellflow_net::NetTelemetry::new(&registry).with_event_log(log));
+        Ok(CampaignTelemetry {
+            registry,
+            telemetry,
+            out: self,
+        })
+    }
 }
 
 impl CampaignTelemetry {
@@ -1444,15 +1524,16 @@ impl CampaignTelemetry {
     /// summary. Only counts and paths go to stdout — no timing values — so
     /// a fixed seed still produces byte-identical output.
     fn finish(&self) -> Result<(), String> {
+        let out = &self.out;
         self.telemetry.flush();
         let exposition = cellflow_telemetry::prometheus::render(&self.registry.snapshot());
-        std::fs::write(&self.metrics_out, exposition)
-            .map_err(|e| format!("writing {}: {e}", self.metrics_out))?;
+        std::fs::write(&out.metrics_out, exposition)
+            .map_err(|e| format!("writing {}: {e}", out.metrics_out))?;
         let (events, dumps) = self.telemetry.log_stats();
-        println!("\ntelemetry:      {events} events -> {}", self.trace_out);
-        println!("                exposition -> {}", self.metrics_out);
+        println!("\ntelemetry:      {events} events -> {}", out.trace_out);
+        println!("                exposition -> {}", out.metrics_out);
         if dumps > 0 {
-            println!("                flight dump -> {}", self.flight_out);
+            println!("                flight dump -> {}", out.flight_out);
         }
         Ok(())
     }
@@ -1476,6 +1557,8 @@ fn metrics(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get("seed", 1)?;
     let out: String = flags.get("out", String::new())?;
     let trace_out: String = flags.get("trace-out", String::new())?;
+    let prom = flags.has("prom");
+    flags.reject_unused()?;
 
     let params = Params::from_milli(250, 50, 200).expect("static parameters are valid");
     let config = SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
@@ -1493,8 +1576,8 @@ fn metrics(flags: &Flags) -> Result<(), String> {
     }
     let mut sim = Simulation::new(config.clone(), seed).with_telemetry(sim_telemetry);
     if !trace_out.is_empty() {
-        // The reference sim's causal span trees (round → phase → shard,
-        // plus event-bearing-cell leaves) ride the event stream.
+        // The reference sim's causal span trees (round → phase, plus
+        // event-bearing-cell leaves) ride the event stream.
         sim = sim.with_tracer(cellflow_telemetry::Tracer::new(seed));
     }
     sim.system_mut()
@@ -1523,7 +1606,7 @@ fn metrics(flags: &Flags) -> Result<(), String> {
         100.0 * active as f64 / total as f64
     );
     println!("{}", report::render_tables(&snapshot));
-    if flags.has("prom") {
+    if prom {
         println!("{}", prometheus::render(&snapshot));
     }
     if !out.is_empty() {
@@ -1548,6 +1631,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
     };
     let flags = Flags::parse(&args[1..])?;
     let rows: usize = flags.get("rows", 40)?;
+    flags.reject_unused()?;
     // Recordings are binary — route them before the text read.
     if path.ends_with(".rec") {
         return crate::record::inspect_rec(path);
@@ -1609,6 +1693,7 @@ fn trace(args: &[String]) -> Result<(), String> {
     // Round tags are 1-based in the stream, so 0 doubles as "no filter".
     let round: u64 = flags.get("round", 0)?;
     let wall = flags.has("wall");
+    flags.reject_unused()?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let parsed = Trace::parse(&text).map_err(|(line, msg)| format!("{path}:{line}: {msg}"))?;
     if parsed.spans.is_empty() {
@@ -1629,6 +1714,7 @@ fn bench(flags: &Flags) -> Result<(), String> {
         // Regression mode: rerun every matrix in quick mode and compare
         // against the committed baselines inside the tolerance bands.
         let dir: String = flags.get("baseline-dir", ".".to_string())?;
+        flags.reject_unused()?;
         eprintln!("bench --check: comparing fresh quick runs against baselines in {dir}/ ...");
         let report = cellflow_bench::check::run(std::path::Path::new(&dir))?;
         print!("{}", report.render());
@@ -1642,6 +1728,11 @@ fn bench(flags: &Flags) -> Result<(), String> {
         };
     }
     let out: String = flags.get("out", "BENCH_PR3.json".to_string())?;
+    let tel_out: String = flags.get("telemetry-out", "BENCH_PR5.json".to_string())?;
+    let mega_out: String = flags.get("mega-out", "BENCH_PR8.json".to_string())?;
+    let trace_out: String = flags.get("trace-overhead-out", "BENCH_PR9.json".to_string())?;
+    let rec_out: String = flags.get("recording-overhead-out", "BENCH_PR10.json".to_string())?;
+    flags.reject_unused()?;
     eprintln!(
         "running {} bench matrix (grids {:?})...",
         if quick { "quick" } else { "full" },
@@ -1666,7 +1757,6 @@ fn bench(flags: &Flags) -> Result<(), String> {
     std::fs::write(&out, report.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
     println!("wrote {out}");
 
-    let tel_out: String = flags.get("telemetry-out", "BENCH_PR5.json".to_string())?;
     eprintln!("running telemetry overhead matrix...");
     let overhead = cellflow_bench::telemetry_overhead::run(quick);
     println!(
@@ -1683,37 +1773,29 @@ fn bench(flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("writing {tel_out}: {e}"))?;
     println!("wrote {tel_out}");
 
-    let mega_out: String = flags.get("mega-out", "BENCH_PR8.json".to_string())?;
     eprintln!(
-        "running {} mega-grid matrix (sparse vs dense, sharded scaling)...",
+        "running {} mega-grid matrix (sparse vs dense)...",
         if quick { "quick (128\u{b2} cap)" } else { "full (up to 1024\u{b2})" }
     );
     let mega = cellflow_bench::mega::run(quick);
     println!(
-        "\n{:<10} {:>14} {:>14} {:>9} {:>11}  sharded ns/rd (workers)",
+        "\n{:<10} {:>14} {:>14} {:>9} {:>11}",
         "scenario", "dense ns/rd", "sparse ns/rd", "speedup", "occupancy"
     );
     for sc in &mega.scenarios {
-        let curve: Vec<String> = sc
-            .sharded_ns_per_round
-            .iter()
-            .map(|(w, ns)| format!("{w}:{ns}"))
-            .collect();
         println!(
-            "{:<10} {:>14} {:>14} {:>8.2}x {:>10.2}%  {}",
+            "{:<10} {:>14} {:>14} {:>8.2}x {:>10.2}%",
             sc.name,
             sc.dense_ns_per_round,
             sc.sparse_ns_per_round,
             sc.speedup_sparse_vs_dense,
-            sc.occupancy * 100.0,
-            curve.join(" ")
+            sc.occupancy * 100.0
         );
     }
     std::fs::write(&mega_out, mega.to_json())
         .map_err(|e| format!("writing {mega_out}: {e}"))?;
     println!("wrote {mega_out}");
 
-    let trace_out: String = flags.get("trace-overhead-out", "BENCH_PR9.json".to_string())?;
     eprintln!("running causal-tracing overhead matrix...");
     let trace = cellflow_bench::trace_overhead::run(quick);
     println!(
@@ -1730,7 +1812,6 @@ fn bench(flags: &Flags) -> Result<(), String> {
         .map_err(|e| format!("writing {trace_out}: {e}"))?;
     println!("wrote {trace_out}");
 
-    let rec_out: String = flags.get("recording-overhead-out", "BENCH_PR10.json".to_string())?;
     eprintln!("running flight-recording overhead matrix...");
     let recording = cellflow_bench::recording_overhead::run(quick);
     println!(
@@ -1897,6 +1978,83 @@ mod tests {
         assert!(dispatch(&argv("chaos --partition island@1,1")).is_err());
         assert!(dispatch(&argv("chaos --partition flaky@2000")).is_err());
         assert!(dispatch(&argv("chaos --partition split@col=2 --heal 5 --start 10")).is_err());
+    }
+
+    #[test]
+    fn shard_workers_flag_is_rejected_by_name() {
+        for cmd in [
+            "chaos --n 4 --rounds 20 --shard-workers 4",
+            "chaos --cascade --shard-workers 4",
+            "chaos --partition split@col=2 --shard-workers 4",
+        ] {
+            let err = dispatch(&argv(cmd)).unwrap_err();
+            assert!(err.contains("--shard-workers"), "{cmd}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_command_rejects_a_flag_it_never_reads() {
+        // Each command must refuse before doing any work, so even the
+        // long-running ones (figures, benches) return at once.
+        for cmd in [
+            "run",
+            "run3d",
+            "multi",
+            "demo",
+            "fig7",
+            "fig8",
+            "fig9",
+            "paths",
+            "mc",
+            "chaos",
+            "chaos --cascade",
+            "chaos --partition split@col=2",
+            "stabilize",
+            "record --scenario cascade",
+            "bench",
+            "bench --check",
+            "metrics",
+            "inspect missing.jsonl",
+            "trace missing.jsonl",
+            "replay missing.rec",
+            "diff a.rec b.rec",
+            "bisect a.rec b.rec",
+        ] {
+            let err = dispatch(&argv(&format!("{cmd} --bogus 1"))).unwrap_err();
+            assert!(
+                err == "unrecognized flag --bogus for this command",
+                "{cmd}: {err}"
+            );
+        }
+        // A flag a command only reads under another flag is unused without it.
+        let err = dispatch(&argv("chaos --trace-out t.jsonl")).unwrap_err();
+        assert!(err.contains("--trace-out"), "{err}");
+        let err = dispatch(&argv("chaos --partition split@col=2 --no-heal --heal 5")).unwrap_err();
+        assert!(err.contains("--heal"), "{err}");
+    }
+
+    #[test]
+    fn round_totals_that_overflow_are_typed_errors() {
+        assert_eq!(horizon(7, 54), Ok(61));
+        assert_eq!(
+            horizon(u64::MAX, 54),
+            Err(HorizonOverflow {
+                rounds: u64::MAX,
+                tail: 54
+            })
+        );
+        assert_eq!(two_thirds(31), 20);
+        assert_eq!(two_thirds(u64::MAX), 12_297_829_382_473_034_410);
+        let max = u64::MAX;
+        for cmd in [
+            format!("chaos --cascade --n 5 --rounds {max}"),
+            format!("chaos --n 5 --partition split@col=2 --rounds {max} --start 0 --heal 5"),
+            format!("chaos --n 5 --partition split@col=2 --rounds 100 --settle {max}"),
+            format!("stabilize --n 5 --active {max}"),
+        ] {
+            let err = dispatch(&argv(&cmd)).unwrap_err();
+            assert!(err.contains("campaign horizon overflows"), "{cmd}: {err}");
+        }
     }
 
     #[test]

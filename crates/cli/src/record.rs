@@ -365,7 +365,8 @@ impl RecScenario {
             } => {
                 use cellflow_core::overload::{BackoffPolicy, OverloadTrigger};
                 use cellflow_sim::cascade::{run_cascade_recorded, CascadeScenario};
-                let bound = stabilization_bound(&config);
+                let settle = stabilization_bound(&config) + 2;
+                crate::commands::horizon(*rounds, settle)?;
                 let scenario = CascadeScenario {
                     config,
                     base: FaultPlan::new().crash_at(8, CellId::new(1, n / 2)),
@@ -377,8 +378,7 @@ impl RecScenario {
                     }),
                     restart_after: (*restart > 0).then_some(*restart),
                     rounds: *rounds,
-                    settle: bound + 2,
-                    workers: 1,
+                    settle,
                 };
                 let (_, recording) = run_cascade_recorded(&scenario, None, Some(recorder));
                 recording.ok_or_else(|| "cascade run produced no recording".into())
@@ -392,6 +392,7 @@ impl RecScenario {
                 ..
             } => {
                 use cellflow_sim::partition::{run_partition_recorded, PartitionScenario};
+                crate::commands::horizon(*rounds, *settle)?;
                 let plan =
                     crate::commands::parse_partition_spec(spec, config.dims(), *start, *heal, seed)?;
                 let scenario = PartitionScenario {
@@ -400,7 +401,6 @@ impl RecScenario {
                     base: FaultPlan::new(),
                     rounds: *rounds,
                     settle: *settle,
-                    workers: 1,
                 };
                 let (_, recording) = run_partition_recorded(&scenario, None, Some(recorder));
                 recording.ok_or_else(|| "partition run produced no recording".into())
@@ -462,7 +462,8 @@ impl RecScenario {
                 if *active < 6 {
                     return Err("stabilize active window must be at least 6 rounds".into());
                 }
-                let bound = stabilization_bound(&config);
+                let schedule =
+                    crate::commands::StabilizeSchedule::new(*active, stabilization_bound(&config))?;
                 let spec = CampaignSpec {
                     active_rounds: *active,
                     bursts: 0,
@@ -476,14 +477,9 @@ impl RecScenario {
                 // The same deployment campaign `cellflow stabilize` runs:
                 // seeded corruptions plus a hard crash and a dirty tear
                 // over a durable snapshot store.
-                let hard_victim = CellId::new(2, 1);
-                let tear_victim = CellId::new(2, 2);
-                let (hard_at, hard_respawn) = (active / 3, 2 * active / 3);
-                let (tear_at, tear_respawn) = (active / 2, active / 2 + 10);
-                let rounds = (*active).max(tear_respawn) + bound + 2;
                 let plan = FaultPlan::random_campaign(&config, &spec, seed)
-                    .hard_crash_at(hard_at, hard_victim)
-                    .recover_at(hard_respawn, hard_victim);
+                    .hard_crash_at(schedule.hard_at, schedule.hard_victim)
+                    .recover_at(schedule.hard_respawn, schedule.hard_victim);
                 let store_dir = std::env::temp_dir().join(format!(
                     "cellflow-rec-stabilize-{seed}-{}",
                     std::process::id()
@@ -494,11 +490,12 @@ impl RecScenario {
                     .with_plan(plan)
                     .with_store(std::sync::Arc::new(store))
                     .with_tear(TearSpec {
-                        cell: tear_victim,
-                        round: tear_at,
-                        respawn: tear_respawn,
+                        cell: schedule.tear_victim,
+                        round: schedule.tear_at,
+                        respawn: schedule.tear_respawn,
                     });
-                let outcome = net.run_monitored_recorded(rounds, Vec::new(), Some(recorder));
+                let outcome =
+                    net.run_monitored_recorded(schedule.rounds, Vec::new(), Some(recorder));
                 std::fs::remove_dir_all(&store_dir).ok();
                 let (_, recording) = outcome.map_err(|e| e.to_string())?;
                 recording.ok_or_else(|| "stabilize run produced no recording".into())
@@ -571,7 +568,7 @@ fn scenario_from_flags(flags: &Flags) -> Result<RecScenario, String> {
             let heal = if flags.has("no-heal") {
                 None
             } else {
-                Some(flags.get("heal", (rounds * 2) / 3)?)
+                Some(flags.get("heal", crate::commands::two_thirds(rounds))?)
             };
             let n: u16 = flags.get("n", 5)?;
             if n < 3 {
@@ -626,6 +623,7 @@ pub fn record(flags: &Flags) -> Result<(), String> {
     let seed: u64 = flags.get("seed", 1)?;
     let interval: u64 = flags.get("keyframe-interval", DEFAULT_KEYFRAME_INTERVAL)?;
     let out: String = flags.get("record-out", "run.rec".to_string())?;
+    flags.reject_unused()?;
 
     println!("recording: {}", scenario.render());
     let bytes = scenario.drive(seed, interval)?;
@@ -660,6 +658,7 @@ pub fn replay(args: &[String]) -> Result<(), String> {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err("replay needs a file: cellflow replay <run.rec>".into());
     };
+    Flags::parse(&args[1..])?.reject_unused()?;
     let (bytes, rec) = load(path)?;
     let scenario = RecScenario::parse(&rec.header.scenario)
         .map_err(|e| format!("{path}: bad scenario line: {e}"))?;
@@ -873,10 +872,11 @@ fn two_paths<'a>(args: &'a [String], usage: &str) -> Result<(&'a str, &'a str, F
 pub fn diff(args: &[String]) -> Result<(), String> {
     let (path_a, path_b, flags) =
         two_paths(args, "diff needs two files: cellflow diff <a.rec> <b.rec> [--round R]")?;
+    let round: u64 = flags.get("round", u64::MAX)?;
+    flags.reject_unused()?;
     let (_, a) = load(path_a)?;
     let (_, b) = load(path_b)?;
     let dims = check_comparable(path_a, &a, path_b, &b)?;
-    let round: u64 = flags.get("round", u64::MAX)?;
 
     let at = if round != u64::MAX {
         round
@@ -911,8 +911,9 @@ pub fn diff(args: &[String]) -> Result<(), String> {
 /// round, cell, and register, render the full register diff there, and
 /// dump the preceding rounds through the flight ring.
 pub fn bisect(args: &[String]) -> Result<(), String> {
-    let (path_a, path_b, _) =
+    let (path_a, path_b, flags) =
         two_paths(args, "bisect needs two files: cellflow bisect <a.rec> <b.rec>")?;
+    flags.reject_unused()?;
     let (_, a) = load(path_a)?;
     let (_, b) = load(path_b)?;
     let dims = check_comparable(path_a, &a, path_b, &b)?;
@@ -1051,6 +1052,35 @@ mod tests {
             rec.header.config_checksum,
             snapshot::config_checksum(&sc.config().unwrap())
         );
+    }
+
+    #[test]
+    fn overflowing_horizons_are_rejected_before_driving() {
+        let max = u64::MAX;
+        // What `replay` does with a header's scenario line.
+        for line in [
+            format!("stabilize n=5 corruptions=3 active={max}"),
+            format!(
+                "cascade n=5 rounds={max} capacity=2 threshold=2 sustain=2 backoff=0 base=4 \
+                 max=32 restart=0"
+            ),
+            format!("partition n=5 rounds={max} spec=split@col=2 start=0 heal=5 settle=54"),
+            format!("partition n=5 rounds=100 spec=split@col=2 start=0 heal=5 settle={max}"),
+        ] {
+            let scenario = RecScenario::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let err = scenario.drive(1, 16).unwrap_err();
+            assert!(err.contains("campaign horizon overflows"), "{line}: {err}");
+        }
+        // And what `record` does with the same values as flags.
+        for cmd in [
+            format!("--scenario stabilize --active {max}"),
+            format!("--scenario cascade --rounds {max}"),
+            format!("--scenario partition --rounds {max} --start 0 --heal 5"),
+        ] {
+            let args: Vec<String> = cmd.split_whitespace().map(String::from).collect();
+            let err = record(&Flags::parse(&args).unwrap()).unwrap_err();
+            assert!(err.contains("campaign horizon overflows"), "{cmd}: {err}");
+        }
     }
 
     #[test]

@@ -215,16 +215,15 @@ pub fn certify_batch(
     let chunk = campaigns.len().div_ceil(workers);
     let mut results: Vec<Option<Certificate>> = Vec::new();
     results.resize_with(campaigns.len(), || None);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (input, output) in campaigns.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (ops, slot) in input.iter().zip(output.iter_mut()) {
                     *slot = Some(certify(config, ops, opts));
                 }
             });
         }
-    })
-    .expect("certify worker panicked");
+    });
     results
         .into_iter()
         .map(|c| c.expect("every campaign was certified"))

@@ -36,17 +36,15 @@
 //! updates, occupancy flips, sticky signal registers, link-cut diffs,
 //! fault/corruption imports via [`Engine::load_state`]) shrinks each phase's
 //! sweep to the cells whose inputs changed, so a quiescent region costs
-//! O(active), not O(N). When an active list is long enough the phase fans
-//! out to worker threads over contiguous bands of the sorted list
-//! ([`Engine::set_workers`]) with results applied in band order — bit- and
-//! event-identical to the sequential sweep. The dense mode remains available
-//! as the reference and benchmark baseline.
+//! O(active), not O(N). Each phase sweeps its sorted list on the calling
+//! thread, in ascending cell order, so the events come out in the same
+//! row-major order the dense sweep emits them. The dense mode remains
+//! available as the differential reference and benchmark baseline.
 //!
 //! Equivalence with the pure phases — identical successor state *and*
 //! identical [`RoundEvents`], per round, under crashes, recoveries and
 //! corruptions — is enforced by `tests/engine_differential.rs` at the
-//! workspace root, and sparse/sharded vs dense by
-//! `tests/sparse_differential.rs`.
+//! workspace root, and sparse vs dense by `tests/sparse_differential.rs`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -71,11 +69,6 @@ const NO_NBR: u32 = u32::MAX;
 /// derived ordering is lexicographic `(i, j)`, so for cell `⟨i,j⟩` the sorted
 /// neighbor order is `W ⟨i−1,j⟩ < S ⟨i,j−1⟩ < N ⟨i,j+1⟩ < E ⟨i+1,j⟩`.
 const SORTED_SLOTS: [usize; 4] = [1, 3, 2, 0];
-
-/// Default active-list length below which sharded phases stay sequential:
-/// spawning scoped workers costs tens of microseconds, so fan-out only pays
-/// off once a phase has a few thousand cells to chew through.
-const DEFAULT_SHARD_MIN: usize = 4096;
 
 /// Precomputed grid topology: per-cell neighbor arena indices and
 /// identifiers in [`Dir::ALL`] slot order, plus the target's arena index.
@@ -186,14 +179,15 @@ impl Default for CellCore {
 /// How [`Engine::step`] executes a round.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Recompute every cell every round — the PR 3 baseline, O(N) per round
-    /// regardless of activity. Kept as the differential and benchmark
-    /// reference.
+    /// Recompute every cell every round — O(N) per round regardless of
+    /// activity. Kept as the differential reference the sparse round is
+    /// tested against, and as the benchmark baseline.
     Dense,
     /// Active-set scheduling (the default): `Route`/`Signal`/`Move` run only
-    /// on cells whose inputs changed since they last ran, so quiescent
-    /// regions cost nothing. State- and event-identical to [`ExecMode::Dense`]
-    /// — see the invariant notes on [`Sched`] and the differential suite in
+    /// on cells whose inputs changed since they last ran, each phase
+    /// sweeping its sorted list on the calling thread, so quiescent regions
+    /// cost nothing. State- and event-identical to [`ExecMode::Dense`] —
+    /// see the invariant notes on [`Sched`] and the differential suite in
     /// `tests/sparse_differential.rs`.
     Sparse,
 }
@@ -252,60 +246,12 @@ struct SigOut {
     signal: Option<CellId>,
 }
 
-/// One shard worker's `Route` output: `(cell, dist, next)` for cells whose
-/// routed registers actually changed.
-#[derive(Clone, Debug, Default)]
-struct RouteBand {
-    upd: Vec<(u32, Dist, Option<CellId>)>,
-    allocs: u64,
-}
-
-/// One shard worker's `Signal` output, in ascending cell order.
-#[derive(Clone, Debug, Default)]
-struct SigBand {
-    out: Vec<(u32, SigOut)>,
-    allocs: u64,
-}
-
-/// One shard worker's `Move` output: events and deferred arrivals.
-/// Bands are merged in ascending band order, which restores the exact
-/// row-major event record the sequential sweep produces.
-#[derive(Clone, Debug, Default)]
-struct MoveOut {
-    moved: Vec<CellId>,
-    consumed: Vec<EntityId>,
-    transfers: Vec<Transfer>,
-    incoming: Vec<(u32, EntityId, Point)>,
-    allocs: u64,
-}
-
-/// Where `Move`'s per-cell kernel writes: either the engine's own event
-/// buffers (sequential sweeps) or a per-band [`MoveOut`] (shard workers).
+/// Where `Move`'s per-cell kernel writes: the round's events, the deferred
+/// cross-cell arrivals, and the growth counter.
 struct MoveSink<'a> {
-    moved: &'a mut Vec<CellId>,
-    consumed: &'a mut Vec<EntityId>,
-    transfers: &'a mut Vec<Transfer>,
+    events: &'a mut RoundEvents,
     incoming: &'a mut Vec<(u32, EntityId, Point)>,
     allocs: &'a mut u64,
-}
-
-/// Per-worker scratch buffers for sharded phases, kept allocated between
-/// rounds. Band 0 doubles as the sequential sparse path's scratch.
-#[derive(Clone, Debug)]
-struct ShardScratch {
-    route: Vec<RouteBand>,
-    sig: Vec<SigBand>,
-    mv: Vec<MoveOut>,
-}
-
-impl ShardScratch {
-    fn with_bands(n: usize) -> ShardScratch {
-        ShardScratch {
-            route: vec![RouteBand::default(); n],
-            sig: vec![SigBand::default(); n],
-            mv: vec![MoveOut::default(); n],
-        }
-    }
 }
 
 /// The active-set scheduler's state. The correctness invariant, per phase:
@@ -444,8 +390,7 @@ fn route_core(
 }
 
 /// `Signal`'s per-cell kernel (Figure 5) for a non-failed cell: computes the
-/// requester mask and the token/signal decision without writing anything, so
-/// shard workers can run it concurrently against the shared `front`.
+/// requester mask and the token/signal decision without writing anything.
 #[allow(clippy::too_many_arguments)]
 fn signal_core(
     topo: &NeighborTable,
@@ -530,8 +475,7 @@ fn signal_core(
 /// `Move`'s per-cell kernel (Figure 6): advances `members_k`, emitting
 /// events and deferred cross-cell arrivals into `out`. All permission reads
 /// (`signal`, `failed`) come from registers `Move` never writes, and the
-/// only mutation is the cell's own member arena — which is why disjoint
-/// bands of cells can run concurrently.
+/// only mutation is the cell's own member arena.
 fn move_cell_into(
     config: &SystemConfig,
     topo: &NeighborTable,
@@ -569,7 +513,7 @@ fn move_cell_into(
     if nc.failed || nc.signal != Some(id) {
         return;
     }
-    push_tracked(out.moved, id, out.allocs);
+    push_tracked(&mut out.events.moved, id, out.allocs);
     let boundary = id.boundary(dir);
     let mut w = 0usize;
     for r in 0..members_k.len() {
@@ -583,14 +527,14 @@ fn move_cell_into(
         };
         if crossed {
             if nx == target {
-                push_tracked(out.consumed, eid, out.allocs);
+                push_tracked(&mut out.events.consumed, eid, out.allocs);
             } else {
                 // Enter the receiving cell flush at its near edge.
                 let entry_edge = nx.boundary(dir.opposite());
                 let snapped = new_pos.with_along(dir.axis(), entry_edge + h * dir.sign());
                 push_tracked(out.incoming, (nxi as u32, eid, snapped), out.allocs);
                 push_tracked(
-                    out.transfers,
+                    &mut out.events.transfers,
                     Transfer {
                         entity: eid,
                         from: id,
@@ -674,23 +618,20 @@ pub struct Engine {
     /// (the default) keeps [`Engine::step`] on the untimed fast path — a
     /// single branch per round, no clock reads.
     timers: Option<PhaseTimers>,
-    /// Scheduler occupancy instrumentation (active/skipped cells, per-shard
-    /// phase timing), attached when telemetry is enabled.
+    /// Scheduler occupancy instrumentation (active/skipped cells), attached
+    /// when telemetry is enabled.
     sched_metrics: Option<SchedulerMetrics>,
     /// Per-round phase attribution for the causal tracer (see
     /// [`RoundTrace`]); refreshed in place when enabled, otherwise inert.
     round_trace: RoundTrace,
     /// Dense (recompute everything) or sparse (active sets) execution.
     mode: ExecMode,
-    /// Worker threads for sharded sparse phases (1 = sequential).
-    workers: usize,
-    /// Minimum active-list length before a phase fans out to workers;
-    /// below it the thread hand-off costs more than the sweep.
-    shard_min: usize,
     /// Active-set scheduler state (dirty sets, occupancy, pressure list).
     sched: Sched,
-    /// Per-worker band scratch, reused round over round.
-    shards: ShardScratch,
+    /// Sparse `Route`'s `(cell, dist, next)` updates for the cells whose
+    /// routed registers change, reused round over round: the kernel reads
+    /// neighbor `dist`, so the sweep cannot write in place.
+    route_upd: Vec<(u32, Dist, Option<CellId>)>,
     /// Flight recorder, when a recording is being captured. `None` (the
     /// default) keeps [`Engine::step`] on the unrecorded fast path — a
     /// single branch per round, no state export, no allocation.
@@ -698,12 +639,12 @@ pub struct Engine {
 }
 
 /// One round's phase attribution for the causal tracer: how many cells each
-/// phase actually swept, across how many shard bands, and how long it took.
+/// phase actually swept and how long it took.
 ///
 /// Plain `Copy` data refreshed in place every round — reading it allocates
 /// nothing, so tracing preserves the engine's zero-allocation steady state.
-/// The cell/band counts are deterministic (they mirror the scheduler's
-/// sorted work lists); only the `*_ns` fields read the wall clock.
+/// The cell counts are deterministic (they mirror the scheduler's sorted
+/// work lists); only the `*_ns` fields read the wall clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundTrace {
     /// Whether the engine is filling this struct each round.
@@ -714,12 +655,6 @@ pub struct RoundTrace {
     pub signal_cells: u64,
     /// Cells swept by `Move`.
     pub move_cells: u64,
-    /// Shard bands `Route` fanned out to (1 = sequential).
-    pub route_bands: u32,
-    /// Shard bands `Signal` fanned out to.
-    pub signal_bands: u32,
-    /// Shard bands `Move` fanned out to.
-    pub move_bands: u32,
     /// Measured `Route` nanoseconds (wall clock; nondeterministic).
     pub route_ns: u64,
     /// Measured `Signal` nanoseconds.
@@ -774,10 +709,8 @@ impl Engine {
             sched_metrics: None,
             round_trace: RoundTrace::default(),
             mode: ExecMode::Sparse,
-            workers: 1,
-            shard_min: DEFAULT_SHARD_MIN,
             sched: Sched::with_cells(n),
-            shards: ShardScratch::with_bands(1),
+            route_upd: Vec::new(),
             recorder: None,
         };
         engine.front[engine.topo.target_index].dist = Dist::Finite(0);
@@ -1071,7 +1004,7 @@ impl Engine {
                 cs.ne_prev = set.clone();
             }
         } else {
-            let (cands, cn) = self.mask_candidates(k, c.ne_mask);
+            let (cands, cn) = candidates_of(&self.topo, k, c.ne_mask);
             let unchanged = cs.ne_prev.len() == cn
                 && cs.ne_prev.iter().zip(cands[..cn].iter()).all(|(a, b)| a == b);
             if !unchanged {
@@ -1116,7 +1049,7 @@ impl Engine {
     /// Executes one atomic `update` transition — `Route; Signal; Move` — and
     /// returns the round's events. Equivalent, state for state and event for
     /// event, to [`update`](crate::update) on the mirrored representation,
-    /// in both [`ExecMode`]s and at every worker count.
+    /// in both [`ExecMode`]s.
     pub fn step(&mut self) -> &RoundEvents {
         self.events.consumed.clear();
         self.events.transfers.clear();
@@ -1179,9 +1112,6 @@ impl Engine {
             self.round_trace.route_cells = all;
             self.round_trace.signal_cells = all;
             self.round_trace.move_cells = all;
-            self.round_trace.route_bands = 1;
-            self.round_trace.signal_bands = 1;
-            self.round_trace.move_bands = 1;
         }
 
         for (p, m) in self.pressure.iter_mut().zip(self.members.iter()) {
@@ -1195,8 +1125,7 @@ impl Engine {
         }
     }
 
-    /// The active-set round: each phase sweeps only its dirty list, fanning
-    /// out to shard workers when the list is long enough.
+    /// The active-set round: each phase sweeps only its dirty list.
     fn round_sparse(&mut self) {
         self.begin_round_sparse();
         let timers = self.timers.clone();
@@ -1231,18 +1160,10 @@ impl Engine {
 
         if trace {
             // The phase lists stay intact until the next round's rotation,
-            // so the counts can be read back here, after the sweeps. Band
-            // counts recompute `band_count` on the same lengths the phases
-            // saw, so they match what actually ran.
-            let route_len = self.sched.route_now.list.len();
-            let sig_len = self.sched.sig_now.list.len();
-            let move_len = self.sched.move_list.len();
-            self.round_trace.route_cells = route_len as u64;
-            self.round_trace.signal_cells = sig_len as u64;
-            self.round_trace.move_cells = move_len as u64;
-            self.round_trace.route_bands = self.band_count(route_len) as u32;
-            self.round_trace.signal_bands = self.band_count(sig_len) as u32;
-            self.round_trace.move_bands = self.band_count(move_len) as u32;
+            // so the counts can be read back here, after the sweeps.
+            self.round_trace.route_cells = self.sched.route_now.list.len() as u64;
+            self.round_trace.signal_cells = self.sched.sig_now.list.len() as u64;
+            self.round_trace.move_cells = self.sched.move_list.len() as u64;
         }
         self.update_pressure_sparse();
         self.note_round_activity();
@@ -1290,336 +1211,126 @@ impl Engine {
         }
     }
 
-    /// Bands a phase list fans out to: the worker count once the list
-    /// clears the sharding threshold, else 1 (sequential).
-    fn band_count(&self, len: usize) -> usize {
-        if self.workers > 1 && len >= self.shard_min {
-            self.workers.min(self.shards.route.len())
-        } else {
-            1
-        }
-    }
-
-    /// Sparse `Route`: computes updates for the dirty list (possibly on
-    /// shard workers — they only read `front`), then applies them
-    /// sequentially in band order, which equals ascending cell order.
+    /// Sparse `Route`: runs the kernel on the sorted dirty list against the
+    /// unmodified `front`, buffering only the cells whose routed registers
+    /// change, then writes those back in ascending cell order and
+    /// propagates dirt: a changed `dist` re-routes the neighbors next round;
+    /// a changed `next` feeds their requester masks in **this** round's
+    /// `Signal`.
     fn route_sparse(&mut self) {
         let cap = self.config.dist_cap();
-        let nbands = self.band_count(self.sched.route_now.list.len());
-        {
-            let Engine {
-                sched,
-                topo,
-                front,
-                link_cuts,
-                shards,
-                sched_metrics,
-                ..
-            } = self;
-            sched.route_now.list.sort_unstable();
-            let list: &[u32] = &sched.route_now.list;
-            if list.is_empty() {
-                return;
-            }
-            let topo: &NeighborTable = topo;
-            let front: &[CellCore] = front;
-            let cuts: &[u8] = link_cuts;
-            let timing = sched_metrics.as_ref().map(|m| &m.shard_phase);
-            let bands = &mut shards.route[..nbands];
-            if nbands == 1 {
-                route_band(topo, front, cuts, cap, list, &mut bands[0]);
-            } else {
-                let chunk = list.len().div_ceil(nbands);
-                crossbeam::thread::scope(|scope| {
-                    for (band, ks) in bands.iter_mut().zip(list.chunks(chunk)) {
-                        scope.spawn(move |_| {
-                            let t0 = timing.map(|_| Instant::now());
-                            route_band(topo, front, cuts, cap, ks, band);
-                            if let (Some(h), Some(t0)) = (timing, t0) {
-                                h.observe(elapsed_ns(t0));
-                            }
-                        });
-                    }
-                })
-                .expect("route shard worker panicked");
-            }
-        }
-        self.apply_route_bands(nbands);
-    }
-
-    /// Writes the banded `Route` updates into `front` and propagates dirt:
-    /// a changed `dist` re-routes the neighbors next round; a changed `next`
-    /// feeds their requester masks in **this** round's `Signal`.
-    fn apply_route_bands(&mut self, nbands: usize) {
         let Engine {
             sched,
             topo,
             front,
+            link_cuts,
+            route_upd,
             alloc_events,
-            shards,
             ..
         } = self;
-        for band in &mut shards.route[..nbands] {
-            *alloc_events += band.allocs;
-            band.allocs = 0;
-            for &(k, dist, next) in &band.upd {
-                let ku = k as usize;
-                let c = &mut front[ku];
-                let dist_changed = c.dist != dist;
-                let next_changed = c.next != next;
-                c.dist = dist;
-                c.next = next;
-                let nbrs = &topo.nbr_idx[ku];
-                if dist_changed {
-                    for &ni in nbrs {
-                        if ni != NO_NBR {
-                            sched.route_next.insert(ni, alloc_events);
-                        }
-                    }
-                }
-                if next_changed {
-                    for &ni in nbrs {
-                        if ni != NO_NBR {
-                            sched.sig_now.insert(ni, alloc_events);
-                        }
+        sched.route_now.list.sort_unstable();
+        for &k in &sched.route_now.list {
+            let ku = k as usize;
+            let c = front[ku];
+            // Dense leaves failed cells and the target untouched too.
+            if c.failed || ku == topo.target_index {
+                continue;
+            }
+            let cut = if link_cuts.is_empty() { 0 } else { link_cuts[ku] };
+            let (dist, next) = route_core(topo, front, cut, cap, ku);
+            if dist != c.dist || next != c.next {
+                push_tracked(route_upd, (k, dist, next), alloc_events);
+            }
+        }
+        for &(k, dist, next) in route_upd.iter() {
+            let ku = k as usize;
+            let c = &mut front[ku];
+            let dist_changed = c.dist != dist;
+            let next_changed = c.next != next;
+            c.dist = dist;
+            c.next = next;
+            let nbrs = &topo.nbr_idx[ku];
+            if dist_changed {
+                for &ni in nbrs {
+                    if ni != NO_NBR {
+                        sched.route_next.insert(ni, alloc_events);
                     }
                 }
             }
-            band.upd.clear();
+            if next_changed {
+                for &ni in nbrs {
+                    if ni != NO_NBR {
+                        sched.sig_now.insert(ni, alloc_events);
+                    }
+                }
+            }
         }
+        route_upd.clear();
     }
 
-    /// Sparse `Signal`: kernel outputs are computed for the dirty list
-    /// (shard workers read the shared pre-write snapshot — `Signal` never
-    /// reads a neighbor's signal registers, so this matches the in-place
-    /// sweep), then applied in ascending cell order with events emitted
-    /// exactly where the dense sweep emits them.
+    /// Sparse `Signal`: the dense sweep's in-place kernel over the sorted
+    /// dirty list, re-marking sticky cells — anything finishing with a
+    /// nonzero register must run again next round (the skip precondition
+    /// is the idle triple).
     fn signal_sparse(&mut self) {
         let params = self.config.params();
         let policy = self.config.token_policy();
         let round = self.round;
-        let nbands = self.band_count(self.sched.sig_now.list.len());
-        {
-            let Engine {
-                sched,
-                topo,
-                front,
-                members,
-                link_cuts,
-                shards,
-                sched_metrics,
-                ..
-            } = self;
-            sched.sig_now.list.sort_unstable();
-            let list: &[u32] = &sched.sig_now.list;
-            if list.is_empty() {
-                return;
+        self.sched.sig_now.list.sort_unstable();
+        for i in 0..self.sched.sig_now.list.len() {
+            let k = self.sched.sig_now.list[i];
+            if self.signal_cell(k as usize, params, policy, round) {
+                self.sched.sig_next.insert(k, &mut self.alloc_events);
             }
-            let topo: &NeighborTable = topo;
-            let front: &[CellCore] = front;
-            let members: &[Vec<(EntityId, Point)>] = members;
-            let cuts: &[u8] = link_cuts;
-            let timing = sched_metrics.as_ref().map(|m| &m.shard_phase);
-            let bands = &mut shards.sig[..nbands];
-            if nbands == 1 {
-                signal_band(
-                    topo, front, members, cuts, params, policy, round, list, &mut bands[0],
-                );
-            } else {
-                let chunk = list.len().div_ceil(nbands);
-                crossbeam::thread::scope(|scope| {
-                    for (band, ks) in bands.iter_mut().zip(list.chunks(chunk)) {
-                        scope.spawn(move |_| {
-                            let t0 = timing.map(|_| Instant::now());
-                            signal_band(topo, front, members, cuts, params, policy, round, ks, band);
-                            if let (Some(h), Some(t0)) = (timing, t0) {
-                                h.observe(elapsed_ns(t0));
-                            }
-                        });
-                    }
-                })
-                .expect("signal shard worker panicked");
-            }
-        }
-        self.apply_signal_bands(nbands);
-    }
-
-    /// Writes banded `Signal` outputs back, emits grant/block events, and
-    /// re-marks sticky cells: anything finishing with a nonzero register
-    /// must run again next round (the skip precondition is the idle triple).
-    fn apply_signal_bands(&mut self, nbands: usize) {
-        let Engine {
-            sched,
-            topo,
-            front,
-            events,
-            ne_override,
-            alloc_events,
-            shards,
-            ..
-        } = self;
-        for band in &mut shards.sig[..nbands] {
-            *alloc_events += band.allocs;
-            band.allocs = 0;
-            for &(k, out) in &band.out {
-                let ku = k as usize;
-                let id = topo.ids[ku];
-                match (out.signal, out.token) {
-                    (Some(grantee), _) => {
-                        push_tracked(&mut events.grants, (id, grantee), alloc_events);
-                    }
-                    (None, Some(holder)) => {
-                        push_tracked(&mut events.blocked, (id, holder), alloc_events);
-                    }
-                    (None, None) => {}
-                }
-                let c = &mut front[ku];
-                c.ne_mask = out.mask;
-                c.token = out.token;
-                c.signal = out.signal;
-                if !ne_override.is_empty() {
-                    ne_override.retain(|(i, _)| *i != k);
-                }
-                if out.mask != 0 || out.token.is_some() || out.signal.is_some() {
-                    sched.sig_next.insert(k, alloc_events);
-                }
-            }
-            band.out.clear();
         }
     }
 
     /// Sparse `Move`: compacts the occupancy list, sweeps exactly the
-    /// nonempty cells in ascending order (banded over disjoint member
-    /// sub-slices when sharded), then marks drained cells' neighbors and
-    /// applies deferred arrivals with occupancy tracking.
+    /// nonempty cells in ascending order, then marks drained cells'
+    /// neighbors and applies deferred arrivals with occupancy tracking.
     fn move_sparse(&mut self) {
-        {
-            let Engine {
-                sched,
-                members,
-                alloc_events,
-                ..
-            } = self;
-            let occupied = &mut sched.occupied;
-            sched.occupied_list.retain(|&k| {
-                if members[k as usize].is_empty() {
-                    occupied[k as usize] = false;
-                    false
-                } else {
-                    true
-                }
-            });
-            sched.move_list.clear();
-            for i in 0..sched.occupied_list.len() {
-                let k = sched.occupied_list[i];
-                push_tracked(&mut sched.move_list, k, alloc_events);
+        let Engine {
+            config,
+            topo,
+            front,
+            members,
+            link_cuts,
+            incoming,
+            events,
+            sched,
+            alloc_events,
+            ..
+        } = self;
+        let occupied = &mut sched.occupied;
+        sched.occupied_list.retain(|&k| {
+            if members[k as usize].is_empty() {
+                occupied[k as usize] = false;
+                false
+            } else {
+                true
             }
-            sched.move_list.sort_unstable();
+        });
+        sched.move_list.clear();
+        for &k in &sched.occupied_list {
+            push_tracked(&mut sched.move_list, k, alloc_events);
         }
-        let nbands = self.band_count(self.sched.move_list.len());
-        {
-            let Engine {
-                config,
-                topo,
-                front,
-                members,
-                link_cuts,
-                incoming,
-                events,
-                sched,
-                shards,
-                alloc_events,
-                sched_metrics,
-                ..
-            } = self;
-            let list: &[u32] = &sched.move_list;
-            if !list.is_empty() {
-                let topo: &NeighborTable = topo;
-                let front: &[CellCore] = front;
-                let cuts: &[u8] = link_cuts;
-                let config: &SystemConfig = config;
-                if nbands == 1 {
-                    let mut sink = MoveSink {
-                        moved: &mut events.moved,
-                        consumed: &mut events.consumed,
-                        transfers: &mut events.transfers,
-                        incoming,
-                        allocs: alloc_events,
-                    };
-                    for &k in list {
-                        move_cell_into(
-                            config,
-                            topo,
-                            front,
-                            cuts,
-                            &mut members[k as usize],
-                            k as usize,
-                            &mut sink,
-                        );
-                    }
-                } else {
-                    let chunk = list.len().div_ceil(nbands);
-                    let timing = sched_metrics.as_ref().map(|m| &m.shard_phase);
-                    let bands = &mut shards.mv[..nbands];
-                    crossbeam::thread::scope(|scope| {
-                        // Bands are contiguous runs of the sorted list, so
-                        // splitting the member arenas at each band's last
-                        // cell + 1 hands every worker a disjoint sub-slice.
-                        let mut rest: &mut [Vec<(EntityId, Point)>] = members;
-                        let mut offset = 0usize;
-                        for (band, ks) in bands.iter_mut().zip(list.chunks(chunk)) {
-                            let hi = *ks.last().expect("chunks are nonempty") as usize + 1;
-                            let (seg, tail) = rest.split_at_mut(hi - offset);
-                            let lo = offset;
-                            rest = tail;
-                            offset = hi;
-                            scope.spawn(move |_| {
-                                let t0 = timing.map(|_| Instant::now());
-                                let mut sink = MoveSink {
-                                    moved: &mut band.moved,
-                                    consumed: &mut band.consumed,
-                                    transfers: &mut band.transfers,
-                                    incoming: &mut band.incoming,
-                                    allocs: &mut band.allocs,
-                                };
-                                for &k in ks {
-                                    move_cell_into(
-                                        config,
-                                        topo,
-                                        front,
-                                        cuts,
-                                        &mut seg[k as usize - lo],
-                                        k as usize,
-                                        &mut sink,
-                                    );
-                                }
-                                if let (Some(h), Some(t0)) = (timing, t0) {
-                                    h.observe(elapsed_ns(t0));
-                                }
-                            });
-                        }
-                    })
-                    .expect("move shard worker panicked");
-                    // Merge in ascending band order = ascending cell order =
-                    // the sequential sweep's event record.
-                    for band in bands {
-                        *alloc_events += band.allocs;
-                        band.allocs = 0;
-                        drain_tracked(&mut events.moved, &mut band.moved, alloc_events);
-                        drain_tracked(&mut events.consumed, &mut band.consumed, alloc_events);
-                        drain_tracked(&mut events.transfers, &mut band.transfers, alloc_events);
-                        drain_tracked(incoming, &mut band.incoming, alloc_events);
-                    }
-                }
-                // Cells that drained stop being requesters: their neighbors'
-                // masks change next round.
-                for &k in list {
-                    if members[k as usize].is_empty() {
-                        for &ni in &topo.nbr_idx[k as usize] {
-                            if ni != NO_NBR {
-                                sched.sig_next.insert(ni, alloc_events);
-                            }
-                        }
+        sched.move_list.sort_unstable();
+        let mut sink = MoveSink {
+            events,
+            incoming,
+            allocs: alloc_events,
+        };
+        for &k in &sched.move_list {
+            let ku = k as usize;
+            move_cell_into(config, topo, front, link_cuts, &mut members[ku], ku, &mut sink);
+        }
+        // Cells that drained stop being requesters: their neighbors' masks
+        // change next round.
+        for &k in &sched.move_list {
+            if members[k as usize].is_empty() {
+                for &ni in &topo.nbr_idx[k as usize] {
+                    if ni != NO_NBR {
+                        sched.sig_next.insert(ni, alloc_events);
                     }
                 }
             }
@@ -1714,20 +1425,6 @@ impl Engine {
         sched.touch.list.sort_unstable();
     }
 
-    /// The sorted (ascending `CellId`) neighbor candidates selected by
-    /// `mask` on cell `k`.
-    fn mask_candidates(&self, k: usize, mask: u8) -> ([CellId; 4], usize) {
-        let mut cands = [self.topo.ids[k]; 4];
-        let mut cn = 0;
-        for &s in &SORTED_SLOTS {
-            if mask & (1 << s) != 0 {
-                cands[cn] = self.topo.nbr_id[k][s];
-                cn += 1;
-            }
-        }
-        (cands, cn)
-    }
-
     /// `Route` (Figure 4): writes the routed registers into `back`; the
     /// caller swaps the buffers. Mirrors
     /// [`route_phase`](crate::route_phase): the hand-rolled loop below
@@ -1757,55 +1454,60 @@ impl Engine {
         }
     }
 
-    /// `Signal` (Figure 5), in place on `front`. Safe without a second
-    /// buffer: it writes only a cell's own `ne_mask`/`token`/`signal` and
-    /// reads neighbors' `next` (never written here) and member arenas
-    /// (never written here). Grant/block events are emitted inline in the
-    /// same row-major order the reference derives them.
+    /// `Signal` (Figure 5), in place on `front` over every cell.
     fn signal(&mut self) {
         let params = self.config.params();
         let policy = self.config.token_policy();
         let round = self.round;
         for k in 0..self.front.len() {
-            if self.front[k].failed {
-                continue;
-            }
-            let cut = if self.link_cuts.is_empty() {
-                0
-            } else {
-                self.link_cuts[k]
-            };
-            // Reading the kernel off the front buffer mid-sweep is exact:
-            // `Signal` never reads a neighbor's ne_mask/token/signal, so the
-            // registers already rewritten for earlier cells are invisible.
-            let out = signal_core(
-                &self.topo,
-                &self.front,
-                &self.members,
-                cut,
-                params,
-                policy,
-                round,
-                k,
-            );
-            let id = self.topo.ids[k];
-            match (out.signal, out.token) {
-                (Some(grantee), _) => {
-                    push_tracked(&mut self.events.grants, (id, grantee), &mut self.alloc_events);
-                }
-                (None, Some(holder)) => {
-                    push_tracked(&mut self.events.blocked, (id, holder), &mut self.alloc_events);
-                }
-                (None, None) => {}
-            }
-            let c = &mut self.front[k];
-            c.ne_mask = out.mask;
-            c.token = out.token;
-            c.signal = out.signal;
-            if !self.ne_override.is_empty() {
-                self.ne_override.retain(|(i, _)| *i != k as u32);
-            }
+            self.signal_cell(k, params, policy, round);
         }
+    }
+
+    /// `Signal` on cell `k`, in place on `front`; returns whether the cell
+    /// finished with a nonzero register. Safe without a second buffer: it
+    /// writes only the cell's own `ne_mask`/`token`/`signal` and reads
+    /// neighbors' `next` and member arenas (never written here), so the
+    /// registers already rewritten for earlier cells are invisible.
+    /// Grant/block events are emitted inline in the same row-major order
+    /// the reference derives them. A failed cell does nothing.
+    fn signal_cell(&mut self, k: usize, params: Params, policy: TokenPolicy, round: u64) -> bool {
+        if self.front[k].failed {
+            return false;
+        }
+        let cut = if self.link_cuts.is_empty() {
+            0
+        } else {
+            self.link_cuts[k]
+        };
+        let out = signal_core(
+            &self.topo,
+            &self.front,
+            &self.members,
+            cut,
+            params,
+            policy,
+            round,
+            k,
+        );
+        let id = self.topo.ids[k];
+        match (out.signal, out.token) {
+            (Some(grantee), _) => {
+                push_tracked(&mut self.events.grants, (id, grantee), &mut self.alloc_events);
+            }
+            (None, Some(holder)) => {
+                push_tracked(&mut self.events.blocked, (id, holder), &mut self.alloc_events);
+            }
+            (None, None) => {}
+        }
+        let c = &mut self.front[k];
+        c.ne_mask = out.mask;
+        c.token = out.token;
+        c.signal = out.signal;
+        if !self.ne_override.is_empty() {
+            self.ne_override.retain(|(i, _)| *i != k as u32);
+        }
+        out.mask != 0 || out.token.is_some() || out.signal.is_some()
     }
 
     /// `Move` (Figure 6), in place. All permission reads (`signal`,
@@ -1825,9 +1527,7 @@ impl Engine {
             ..
         } = self;
         let mut sink = MoveSink {
-            moved: &mut events.moved,
-            consumed: &mut events.consumed,
-            transfers: &mut events.transfers,
+            events,
             incoming,
             allocs: alloc_events,
         };
@@ -1889,29 +1589,6 @@ impl Engine {
         }
     }
 
-    /// Worker threads sharded sparse phases may fan out to.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Sets the worker count for sharded execution (clamped to ≥ 1). A
-    /// phase fans out only once its active list reaches the sharding
-    /// threshold; below it the sequential sweep is faster than the hand-off.
-    pub fn set_workers(&mut self, workers: usize) {
-        let w = workers.max(1);
-        self.workers = w;
-        if self.shards.route.len() < w {
-            self.shards = ShardScratch::with_bands(w);
-        }
-    }
-
-    /// Overrides the active-list length at which phases fan out to workers
-    /// (mainly for tests and benches; the default keeps small grids
-    /// sequential).
-    pub fn set_shard_min(&mut self, shard_min: usize) {
-        self.shard_min = shard_min.max(1);
-    }
-
     /// Distinct cells any phase ran on in the most recent round (equals the
     /// grid size in dense mode) — the active-set occupancy benchmarks and
     /// the `cellflow_engine_active_cells` gauge report.
@@ -1919,10 +1596,9 @@ impl Engine {
         self.sched.last_active
     }
 
-    /// Attaches the scheduler gauges (`cellflow_engine_active_cells`,
-    /// `cellflow_engine_skipped_cells_total`, and per-shard phase timing via
-    /// `cellflow_engine_shard_phase_ns`). Handles minted from a disabled
-    /// registry stay detached, keeping the untimed fast path.
+    /// Attaches the scheduler gauges (`cellflow_engine_active_cells` and
+    /// `cellflow_engine_skipped_cells_total`). Handles minted from a
+    /// disabled registry stay detached, keeping the untimed fast path.
     pub fn attach_scheduler_metrics(&mut self, metrics: SchedulerMetrics) {
         self.sched_metrics = if metrics.active_cells.is_enabled() {
             Some(metrics)
@@ -1952,64 +1628,7 @@ fn note_occupied(sched: &mut Sched, topo: &NeighborTable, k: u32, allocs: &mut u
     }
 }
 
-/// One worker's sparse `Route` sweep: kernel results for the cells in `ks`
-/// whose routed registers would change.
-fn route_band(
-    topo: &NeighborTable,
-    front: &[CellCore],
-    link_cuts: &[u8],
-    cap: u32,
-    ks: &[u32],
-    band: &mut RouteBand,
-) {
-    for &k in ks {
-        let ku = k as usize;
-        let c = front[ku];
-        // Dense leaves failed cells and the target untouched too.
-        if c.failed || ku == topo.target_index {
-            continue;
-        }
-        let cut = if link_cuts.is_empty() { 0 } else { link_cuts[ku] };
-        let (dist, next) = route_core(topo, front, cut, cap, ku);
-        if dist != c.dist || next != c.next {
-            push_tracked(&mut band.upd, (k, dist, next), &mut band.allocs);
-        }
-    }
-}
-
-/// One worker's sparse `Signal` sweep: kernel outputs for every non-failed
-/// cell in `ks`, in list order.
-#[allow(clippy::too_many_arguments)]
-fn signal_band(
-    topo: &NeighborTable,
-    front: &[CellCore],
-    members: &[Vec<(EntityId, Point)>],
-    link_cuts: &[u8],
-    params: Params,
-    policy: TokenPolicy,
-    round: u64,
-    ks: &[u32],
-    band: &mut SigBand,
-) {
-    for &k in ks {
-        let ku = k as usize;
-        if front[ku].failed {
-            continue;
-        }
-        let cut = if link_cuts.is_empty() { 0 } else { link_cuts[ku] };
-        let out = signal_core(topo, front, members, cut, params, policy, round, ku);
-        push_tracked(&mut band.out, (k, out), &mut band.allocs);
-    }
-}
-
-/// Moves everything from `src` onto the end of `dst`, counting growth.
-fn drain_tracked<T>(dst: &mut Vec<T>, src: &mut Vec<T>, allocs: &mut u64) {
-    for item in src.drain(..) {
-        push_tracked(dst, item, allocs);
-    }
-}
-
-/// Saturating nanoseconds since `t0` for the shard-phase histogram.
+/// Saturating nanoseconds since `t0` for the round trace.
 fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
@@ -2108,7 +1727,6 @@ mod tests {
         for _ in 0..150 {
             engine.step();
             let t = engine.round_trace();
-            assert_eq!(t.route_bands, 1, "8x8 never clears the shard threshold");
             counts.push((t.route_cells, t.signal_cells, t.move_cells));
         }
         // Counts mirror the deterministic sparse work lists.
@@ -2336,27 +1954,20 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_sharded_match_dense_round_for_round() {
+    fn sparse_matches_dense_round_for_round() {
         let cfg = config();
         let mut dense = Engine::new(cfg.clone());
         dense.set_exec_mode(ExecMode::Dense);
-        let mut sparse = Engine::new(cfg.clone());
-        let mut sharded = Engine::new(cfg);
-        sharded.set_workers(4);
-        sharded.set_shard_min(1); // force fan-out even on a tiny grid
+        let mut sparse = Engine::new(cfg);
         let mut a = dense.export_state();
         let mut b = a.clone();
         for round in 0..300 {
             let ed = dense.step().clone();
             let es = sparse.step().clone();
             assert_eq!(ed, es, "sparse events diverged at round {round}");
-            let eh = sharded.step().clone();
-            assert_eq!(ed, eh, "sharded events diverged at round {round}");
             dense.store_state(&mut a);
             sparse.store_state(&mut b);
             assert_eq!(a, b, "sparse state diverged at round {round}");
-            sharded.store_state(&mut b);
-            assert_eq!(a, b, "sharded state diverged at round {round}");
         }
     }
 
@@ -2368,19 +1979,17 @@ mod tests {
         let schedule = plan.expand(200);
         let mut dense = Engine::new(cfg.clone());
         dense.set_exec_mode(ExecMode::Dense);
-        let mut sharded = Engine::new(cfg);
-        sharded.set_workers(2);
-        sharded.set_shard_min(1);
+        let mut sparse = Engine::new(cfg);
         let mut a = dense.export_state();
         let mut b = a.clone();
         for round in 0..200u64 {
             dense.set_link_cuts(schedule.mask_row(round));
-            sharded.set_link_cuts(schedule.mask_row(round));
+            sparse.set_link_cuts(schedule.mask_row(round));
             let ed = dense.step().clone();
-            let eh = sharded.step().clone();
-            assert_eq!(ed, eh, "events diverged at round {round}");
+            let es = sparse.step().clone();
+            assert_eq!(ed, es, "events diverged at round {round}");
             dense.store_state(&mut a);
-            sharded.store_state(&mut b);
+            sparse.store_state(&mut b);
             assert_eq!(a, b, "state diverged at round {round}");
         }
     }
@@ -2481,22 +2090,6 @@ mod tests {
         let mut detached = Engine::new(cfg);
         detached.attach_scheduler_metrics(SchedulerMetrics::register(&Registry::disabled()));
         assert!(detached.sched_metrics.is_none());
-    }
-
-    #[test]
-    fn sharded_workers_clamp_and_thresholds_hold() {
-        let cfg = config();
-        let mut engine = Engine::new(cfg);
-        engine.set_workers(0);
-        assert_eq!(engine.workers(), 1);
-        engine.set_workers(8);
-        assert_eq!(engine.workers(), 8);
-        assert_eq!(engine.exec_mode(), ExecMode::Sparse);
-        // Default threshold keeps an 8×8 grid sequential; rounds still work.
-        for _ in 0..50 {
-            engine.step();
-        }
-        assert!(engine.active_cells() <= 64);
     }
 
     #[test]

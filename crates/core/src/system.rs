@@ -505,17 +505,6 @@ impl System {
         self.engine.set_exec_mode(mode);
     }
 
-    /// Sets the worker count for sharded sparse phases (see
-    /// [`Engine::set_workers`]).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.engine.set_workers(workers);
-    }
-
-    /// Overrides the sharding threshold (see [`Engine::set_shard_min`]).
-    pub fn set_shard_min(&mut self, shard_min: usize) {
-        self.engine.set_shard_min(shard_min);
-    }
-
     /// Distinct cells the engine's phases ran on in the most recent round
     /// (see [`Engine::active_cells`]).
     pub fn active_cells(&self) -> usize {

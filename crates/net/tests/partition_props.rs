@@ -81,7 +81,6 @@ proptest! {
             base: FaultPlan::new(),
             rounds: heal + 10,
             settle: 40,
-            workers: 1,
         };
         let a = run_partition(&scenario).render();
         let b = run_partition(&scenario).render();

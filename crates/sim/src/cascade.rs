@@ -45,10 +45,6 @@ pub struct CascadeScenario {
     pub rounds: u64,
     /// Fault-free tail rounds for the stabilization clock to expire in.
     pub settle: u64,
-    /// Shard workers for the sparse engine (1 = sequential). Any value
-    /// produces the same byte-identical report; >1 exercises the sharded
-    /// row-band path.
-    pub workers: usize,
 }
 
 /// What one campaign did, plus everything needed to judge and render it.
@@ -204,8 +200,7 @@ pub fn run_cascade_recorded(
     let mut sim = Simulation::new(config.clone(), 0)
         .with_failure_model(outcome.plan.clone())
         .with_monitors(monitors)
-        .with_safety_checks(false)
-        .with_workers(scenario.workers.max(1));
+        .with_safety_checks(false);
     if let Some(tel) = telemetry {
         tel.record_cascade(&outcome.stats, &outcome.trips);
         sim = sim.with_telemetry(tel);
@@ -267,7 +262,6 @@ mod tests {
             restart_after: None,
             rounds: 160,
             settle: 80,
-            workers: 1,
         }
     }
 
@@ -312,14 +306,6 @@ mod tests {
         assert!(a.contains("checksum: "));
         // The cascade-depth map marks at least one tripped cell.
         assert!(a.contains("cascade depth:"));
-    }
-
-    #[test]
-    fn sharded_campaign_report_is_byte_identical_to_sequential() {
-        let sequential = run_cascade(&scenario(None)).render();
-        let mut sharded = scenario(None);
-        sharded.workers = 4;
-        assert_eq!(run_cascade(&sharded).render(), sequential);
     }
 
     #[test]

@@ -39,10 +39,6 @@ pub struct PartitionScenario {
     pub rounds: u64,
     /// Fault-free tail rounds for the stabilization clock to expire in.
     pub settle: u64,
-    /// Shard workers for the sparse engine (1 = sequential). Any value
-    /// produces the same byte-identical report; >1 exercises the sharded
-    /// row-band path.
-    pub workers: usize,
 }
 
 /// What one campaign did, plus everything needed to judge and render it.
@@ -179,8 +175,7 @@ pub fn run_partition_recorded(
         .with_failure_model(scenario.base.clone())
         .with_partition(schedule.clone())
         .with_monitors(monitors)
-        .with_safety_checks(false)
-        .with_workers(scenario.workers.max(1));
+        .with_safety_checks(false);
     if let Some(tel) = telemetry {
         tel.record_partition(&schedule);
         sim = sim.with_telemetry(tel);
@@ -249,7 +244,6 @@ mod tests {
             base: FaultPlan::new(),
             rounds: 120,
             settle: 80,
-            workers: 1,
         }
     }
 
@@ -295,14 +289,6 @@ mod tests {
         let a = run_partition(&scenario(flaky.clone())).render();
         let b = run_partition(&scenario(flaky)).render();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_campaign_report_is_byte_identical_to_sequential() {
-        let sequential = run_partition(&scenario(split_plan())).render();
-        let mut sharded = scenario(split_plan());
-        sharded.workers = 4;
-        assert_eq!(run_partition(&sharded).render(), sequential);
     }
 
     #[test]

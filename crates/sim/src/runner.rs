@@ -91,18 +91,6 @@ impl Simulation {
         self
     }
 
-    /// Fans the engine's sparse phases out to `workers` shard threads.
-    /// Values above 1 also drop the sharding threshold so the fan-out
-    /// actually engages on small campaign grids — output stays byte-identical
-    /// to sequential execution at every worker count.
-    pub fn with_workers(mut self, workers: usize) -> Simulation {
-        self.system.set_workers(workers);
-        if workers > 1 {
-            self.system.set_shard_min(1);
-        }
-        self
-    }
-
     /// Switches the system's token policy to `Randomized` with this salt.
     pub fn with_randomized_tokens(mut self, salt: u64) -> Simulation {
         let config = self
@@ -158,7 +146,7 @@ impl Simulation {
     }
 
     /// Attaches a causal tracer: every round's telemetry stream gains a
-    /// deterministic span tree (round → phase → shard, plus fault and
+    /// deterministic span tree (round → phase, plus fault and
     /// event-bearing-cell leaves) whose ids are pure functions of the
     /// tracer seed. Requires telemetry with an event log to produce
     /// output; without [`Simulation::with_telemetry`] it only turns on the

@@ -207,8 +207,8 @@ impl SimTelemetry {
 
     /// [`Self::observe_round`] plus the causal span tree: a round span
     /// carrying the engine's phase attribution (route/signal/move children
-    /// with deterministic swept-cell work, shard leaves when a phase fanned
-    /// out), fault leaves, and one leaf per event-bearing cell whose id is
+    /// with deterministic swept-cell work), fault leaves, and one leaf per
+    /// event-bearing cell whose id is
     /// the [`Tracer::cell_round_id`] linking key. Spans are appended after
     /// the round's protocol events at the same round tag, so the stream
     /// stays round-monotonic, and are only emitted here — with the tracer
@@ -230,38 +230,14 @@ impl SimTelemetry {
         b.open(tracer.span_id(round, SpanKind::Round, 0), SpanKind::Round);
         b.add_work(rt.route_cells + rt.signal_cells + rt.move_cells);
         b.add_ns(rt.route_ns + rt.signal_ns + rt.move_ns);
-        for (kind, cells, bands, ns) in [
-            (SpanKind::Route, rt.route_cells, rt.route_bands, rt.route_ns),
-            (
-                SpanKind::Signal,
-                rt.signal_cells,
-                rt.signal_bands,
-                rt.signal_ns,
-            ),
-            (SpanKind::Move, rt.move_cells, rt.move_bands, rt.move_ns),
+        for (kind, cells, ns) in [
+            (SpanKind::Route, rt.route_cells, rt.route_ns),
+            (SpanKind::Signal, rt.signal_cells, rt.signal_ns),
+            (SpanKind::Move, rt.move_cells, rt.move_ns),
         ] {
             b.open(tracer.span_id(round, kind, 0), kind);
             b.add_work(cells);
             b.add_ns(ns);
-            if bands > 1 {
-                // Reconstruct the deterministic band split the engine used:
-                // `chunks(len.div_ceil(bands))` over the sorted work list.
-                let chunk = (cells as usize).div_ceil(bands as usize);
-                let mut remaining = cells as usize;
-                let mut k = 0u64;
-                while remaining > 0 {
-                    let take = remaining.min(chunk);
-                    b.leaf(
-                        tracer.span_id(round, SpanKind::Shard, kind.code() * 1024 + k),
-                        SpanKind::Shard,
-                        None,
-                        take as u64,
-                        0,
-                    );
-                    remaining -= take;
-                    k += 1;
-                }
-            }
             b.close();
         }
         for &cell in &failures.failed {

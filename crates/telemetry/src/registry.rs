@@ -552,8 +552,7 @@ impl PhaseTimers {
 }
 
 /// The sparse scheduler's metric set: how much of the grid each round
-/// actually touched, and how long each shard worker spent per phase.
-/// Registered under the `cellflow_engine_*` names beside [`PhaseTimers`] so
+/// actually touched. Registered under the `cellflow_engine_*` names beside [`PhaseTimers`] so
 /// the occupancy of the active set lands in the same registry as the phase
 /// timings it explains.
 #[derive(Clone, Debug)]
@@ -565,10 +564,6 @@ pub struct SchedulerMetrics {
     /// Running total of cells skipped by the active-set scheduler
     /// (`cellflow_engine_skipped_cells_total`).
     pub skipped_cells: Counter,
-    /// Per-shard per-phase worker nanoseconds
-    /// (`cellflow_engine_shard_phase_ns`): one observation per worker per
-    /// sharded phase, so the histogram's spread exposes shard imbalance.
-    pub shard_phase: Histogram,
 }
 
 impl SchedulerMetrics {
@@ -577,7 +572,6 @@ impl SchedulerMetrics {
         SchedulerMetrics {
             active_cells: registry.gauge("cellflow_engine_active_cells"),
             skipped_cells: registry.counter("cellflow_engine_skipped_cells_total"),
-            shard_phase: registry.histogram("cellflow_engine_shard_phase_ns"),
         }
     }
 }

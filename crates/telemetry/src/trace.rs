@@ -3,8 +3,8 @@
 //! The metrics registry (PR 5) answers *how much* — counters and latency
 //! histograms aggregated over a whole run. This module answers *why this
 //! round, which cell, along which chain*: every round becomes a small tree
-//! of [`Event::Span`] records (round → phase → shard/cell leaves in the
-//! engine; round → barrier/fault/cell leaves in the net runtime), stitched
+//! of [`Event::Span`] records (round → phase spans and cell/fault leaves
+//! in the engine; round → barrier/fault/cell leaves in the net runtime), stitched
 //! together by seed-derived ids so the same execution always produces the
 //! same tree.
 //!
@@ -57,8 +57,6 @@ pub enum SpanKind {
     Signal,
     /// The Move phase sweep.
     Move,
-    /// One row-band shard of a phase sweep.
-    Shard,
     /// One cell's activity within a round (the causal linking span).
     Cell,
     /// The net runtime's barrier waits for a round.
@@ -84,7 +82,8 @@ impl SpanKind {
             SpanKind::Route => 2,
             SpanKind::Signal => 3,
             SpanKind::Move => 4,
-            SpanKind::Shard => 5,
+            // 5 is unassigned and never reused, so older traces' ids keep
+            // their meaning.
             SpanKind::Cell => 6,
             SpanKind::Barrier => 7,
             SpanKind::Timeout => 8,
@@ -102,7 +101,6 @@ impl SpanKind {
             SpanKind::Route => "route",
             SpanKind::Signal => "signal",
             SpanKind::Move => "move",
-            SpanKind::Shard => "shard",
             SpanKind::Cell => "cell",
             SpanKind::Barrier => "barrier",
             SpanKind::Timeout => "timeout",
@@ -114,8 +112,8 @@ impl SpanKind {
     }
 }
 
-/// The seeded id mint. `Copy` and stateless so every thread (engine shards,
-/// net worker threads, the collector, the offline analyzer) can derive the
+/// The seeded id mint. `Copy` and stateless so every thread (net worker
+/// threads, the collector, the offline analyzer) can derive the
 /// same ids without coordination.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Tracer {
@@ -217,7 +215,7 @@ impl SpanBuilder {
     }
 
     /// Opens and immediately closes a child span (the common case for
-    /// shard/cell/fault leaves).
+    /// cell/fault leaves).
     pub fn leaf(&mut self, id: u64, kind: SpanKind, cell: Option<CellId>, work: u64, ns: u64) {
         self.open(id, kind);
         if let Some(cell) = cell {
@@ -722,8 +720,8 @@ mod tests {
         b.open(tracer.span_id(round, SpanKind::Route, 0), SpanKind::Route);
         b.add_work(5);
         b.leaf(
-            tracer.span_id(round, SpanKind::Shard, 0),
-            SpanKind::Shard,
+            tracer.span_id(round, SpanKind::Fault, 0),
+            SpanKind::Fault,
             None,
             3,
             111,
@@ -808,9 +806,9 @@ mod tests {
         let trace = Trace::parse(&stream(7, 2)).unwrap();
         let paths = trace.critical_paths();
         assert_eq!(paths.len(), 2);
-        // round(7) > route(5) > shard(3) = 15 beats round(7) > cell(2) = 9.
+        // round(7) > route(5) > fault(3) = 15 beats round(7) > cell(2) = 9.
         assert_eq!(paths[0].work, 15);
-        assert_eq!(paths[0].chain, vec!["round", "route", "shard"]);
+        assert_eq!(paths[0].chain, vec!["round", "route", "fault"]);
     }
 
     #[test]

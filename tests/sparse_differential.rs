@@ -1,14 +1,13 @@
-//! Property-based differential testing of the sparse active-set scheduler
-//! and the sharded row-band executor: random grids, token policies,
-//! crash/recover/corruption schedules, scripted partitions, and
-//! endogenous-overload campaigns driven simultaneously through a dense
-//! `System`, a sparse one, and a sparse+sharded one — asserting identical
-//! `SystemState`, identical `RoundEvents`, and identical monitor verdicts
-//! after every single round.
+//! Property-based differential testing of the sparse active-set scheduler:
+//! random grids, token policies, crash/recover/corruption schedules,
+//! scripted partitions, and endogenous-overload campaigns driven
+//! simultaneously through a dense `System` and a sparse one — asserting
+//! identical `SystemState`, identical `RoundEvents`, and identical monitor
+//! verdicts after every single round.
 //!
 //! The dense engine is the reference (itself pinned to the pure phase
-//! composition by `engine_differential.rs`); the active-set scheduler and
-//! the shard fan-out are the optimizations. This suite is what licenses
+//! composition by `engine_differential.rs`); the active-set scheduler is
+//! the optimization. This suite is what licenses
 //! running every campaign — chaos, stabilize, cascade, partition — on the
 //! sparse path by default.
 
@@ -95,13 +94,9 @@ struct Variant {
 }
 
 impl Variant {
-    fn new(cfg: &SystemConfig, mode: ExecMode, workers: usize) -> Variant {
+    fn new(cfg: &SystemConfig, mode: ExecMode) -> Variant {
         let mut system = System::new(cfg.clone());
         system.set_exec_mode(mode);
-        if workers > 1 {
-            system.set_workers(workers);
-            system.set_shard_min(1); // engage sharding on these tiny grids
-        }
         Variant {
             system,
             monitors: standard_monitors(cfg),
@@ -136,14 +131,14 @@ impl Variant {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A dense `System`, a sparse one, and a sparse one sharded across
-    /// three row-band workers agree on the full successor state, the full
-    /// event record, and every monitor verdict, round for round, under
+    /// A dense `System` and a sparse one agree on the full successor
+    /// state, the full event record, and every monitor verdict, round for
+    /// round, under
     /// arbitrary crash/recover/corruption schedules, scripted partitions
     /// (with heal), endogenous-overload campaigns on finite-capacity
     /// grids, and every token policy.
     #[test]
-    fn sparse_and_sharded_match_dense_under_random_schedules(
+    fn sparse_matches_dense_under_random_schedules(
         shape in (3u16..=6, 10u64..=60),
         knobs in (0u8..3, proptest::bool::ANY, proptest::bool::ANY),
         split in (0u64..20, 1u16..5), // round 0 = run without a partition
@@ -164,18 +159,18 @@ proptest! {
                 .crash_at(2, CellId::new(1, n / 2));
             expand_overload(&cfg, &base, OverloadTrigger::new(2, 2), None, None, rounds).plan
         });
-        let mut overload_plans = overload_plan.map(|p| [p.clone(), p.clone(), p]);
+        let mut overload_plans = overload_plan.map(|p| [p.clone(), p]);
 
-        // Scripted partition: a column split that heals mid-run.
+        // Scripted partition: a column split that heals mid-run, before a
+        // column in 1..n so both sides have cells.
         let partition = (split_round > 0).then(|| {
             PartitionPlan::for_grid(dims)
-                .split_col(split_col % n, split_round, Some(split_round + 15))
+                .split_col(1 + (split_col - 1) % (n - 1), split_round, Some(split_round + 15))
                 .expand(rounds)
         });
 
-        let mut dense = Variant::new(&cfg, ExecMode::Dense, 1);
-        let mut sparse = Variant::new(&cfg, ExecMode::Sparse, 1);
-        let mut sharded = Variant::new(&cfg, ExecMode::Sparse, 3);
+        let mut dense = Variant::new(&cfg, ExecMode::Dense);
+        let mut sparse = Variant::new(&cfg, ExecMode::Sparse);
 
         for round in 0..rounds {
             let mut corrupted: Vec<CellId> = Vec::new();
@@ -185,7 +180,7 @@ proptest! {
                 }
                 let cell = CellId::new(i % n, j % n);
                 let event = decode_event(kind, salt, dist_cap);
-                for v in [&mut dense, &mut sparse, &mut sharded] {
+                for v in [&mut dense, &mut sparse] {
                     match event {
                         Event::Crash => v.system.fail(cell),
                         Event::Recover => v.system.recover(cell),
@@ -196,50 +191,39 @@ proptest! {
                     corrupted.push(cell);
                 }
             }
-            if let Some([pd, ps, ph]) = overload_plans.as_mut() {
+            if let Some([pd, ps]) = overload_plans.as_mut() {
                 pd.apply(&mut dense.system, round);
                 ps.apply(&mut sparse.system, round);
-                ph.apply(&mut sharded.system, round);
             }
             if let Some(schedule) = &partition {
-                for v in [&mut dense, &mut sparse, &mut sharded] {
+                for v in [&mut dense, &mut sparse] {
                     v.system.set_link_cuts(schedule.mask_row(round));
                 }
             }
 
             let dense_events = dense.system.step();
             let sparse_events = sparse.system.step();
-            let sharded_events = sharded.system.step();
             prop_assert_eq!(
                 sparse.system.state(),
                 dense.system.state(),
                 "sparse state diverged at round {} (n = {}, policy {})",
                 round, n, policy_code
             );
-            prop_assert_eq!(
-                sharded.system.state(),
-                dense.system.state(),
-                "sharded state diverged at round {} (n = {}, policy {})",
-                round, n, policy_code
-            );
             prop_assert_eq!(&sparse_events, &dense_events, "sparse events diverged at round {}", round);
-            prop_assert_eq!(&sharded_events, &dense_events, "sharded events diverged at round {}", round);
 
-            for v in [&mut dense, &mut sparse, &mut sharded] {
+            for v in [&mut dense, &mut sparse] {
                 v.observe(&cfg, round, &corrupted);
             }
             prop_assert_eq!(&sparse.violations, &dense.violations, "sparse verdicts diverged at round {}", round);
-            prop_assert_eq!(&sharded.violations, &dense.violations, "sharded verdicts diverged at round {}", round);
         }
         prop_assert_eq!(sparse.summaries(), dense.summaries());
-        prop_assert_eq!(sharded.summaries(), dense.summaries());
     }
 }
 
 /// The sparse zero-alloc claim, checked mechanically: once warm, a
 /// steady-state sparse round grows no buffer — the epoch-stamped mark sets
-/// recycle their backing stores, the band scratch is reused, and the
-/// active lists only shrink back to their high-water marks.
+/// recycle their backing stores, the `Route` update buffer is reused, and
+/// the active lists only shrink back to their high-water marks.
 #[test]
 fn steady_state_sparse_rounds_do_not_allocate() {
     let cfg = config(8, 0, true, None);
