@@ -4,12 +4,12 @@
 //! sketches the translation: *"At the beginning of each round,
 //! `Cell_{i,j}` broadcasts messages containing the values of these variables
 //! and receives similar values from its neighbors"* (§II-B). This crate is
-//! that translation made concrete: unidirectional channels along every grid
-//! edge and no shared state whatsoever — each cell owns its
-//! [`CellState`](cellflow_core::CellState) and learns about its neighbors
-//! exclusively through messages. How cells map onto OS threads is not part
-//! of the protocol: worker threads drive contiguous shards of cells, one
-//! cell per worker while the grid fits the worker cap
+//! that translation made concrete: a unidirectional link along every grid
+//! edge into the receiving cell's [`Mailbox`], and no other shared state —
+//! each cell owns its [`CellState`](cellflow_core::CellState) and learns
+//! about its neighbors exclusively through messages. How cells map onto OS
+//! threads is not part of the protocol: worker threads drive contiguous
+//! shards of cells, one cell per worker while the grid fits the worker cap
 //! ([`NetSystem::with_worker_cap`], default 64), and each worker checks all
 //! its cells into the round barrier at once.
 //!
@@ -26,7 +26,11 @@
 //!    messages and are incorporated before the round ends.
 //!
 //! Barriers separate the exchanges, mirroring the paper's synchrony
-//! assumption (bounded message delay, instantaneous computation).
+//! assumption (bounded message delay, instantaneous computation). After
+//! each exchange a cell's worker drains its mailbox into one slot per
+//! neighbor, and the phase reads those slots ([`CellNode::route_step`] and
+//! its siblings). A steady round allocates nothing and hashes nothing on
+//! this path: mailboxes and slots are reused from round to round.
 //!
 //! # Faults, chaos, and timeouts
 //!
@@ -52,7 +56,11 @@
 //! a collector thread that reassembles the global state and evaluates
 //! online [`Monitor`](cellflow_core::Monitor)s — safety (Theorem 5),
 //! routing sanity, conservation, and the stabilization stopwatch
-//! (Theorem 10) — reporting violations in the [`NetReport`].
+//! (Theorem 10) — reporting violations in the [`NetReport`]. The collector
+//! keeps one assembled state, moves each snapshot into it, and hands the
+//! monitors the cells that changed
+//! ([`MonitorCtx::changed`](cellflow_core::monitor::MonitorCtx::changed)),
+//! so they pay for the cells that moved rather than the whole grid.
 //!
 //! # Equivalence
 //!
@@ -101,6 +109,6 @@ pub use supervisor::{RestartPolicy, SupervisorDecision};
 pub use sync::{PoisonInfo, WAITS_PER_ROUND};
 pub use telemetry::NetTelemetry;
 pub use transport::{
-    ChaosConfig, ChaosStats, ChaosTransport, EdgeLink, LinkFaultTransport, LinkStats,
+    ChaosConfig, ChaosStats, ChaosTransport, EdgeLink, LinkFaultTransport, LinkStats, Mailbox,
     PerfectTransport, Transport,
 };

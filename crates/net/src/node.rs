@@ -1,21 +1,22 @@
 //! The per-cell node: one cell's state plus the protocol logic, expressed
 //! over *received messages* instead of shared-variable reads.
 
-use std::collections::{BTreeSet, HashMap};
-
 use cellflow_core::{gap_free_toward, CellState, Corruption, EntityId, SystemConfig};
-use cellflow_geom::Point;
+use cellflow_geom::{Dir, Point};
 use cellflow_grid::CellId;
 use cellflow_routing::{route_update, Dist};
+
+/// The most neighbors a grid cell has: one per direction.
+pub(crate) const MAX_DEGREE: usize = Dir::ALL.len();
 
 /// One cell of the message-passing deployment.
 ///
 /// Owns its [`CellState`] exclusively; every method consumes the messages of
-/// one exchange (as a map from neighbor to payload — missing entries are the
-/// paper's "no timely response" and read as `∞`/`⊥`) and advances the local
-/// state exactly as the corresponding phase of the shared-variable reference
-/// would. The runtime wires these methods to real channels; the unit tests
-/// below drive them directly.
+/// one exchange (one slot per neighbor, in [`CellNode::neighbors`] order — an
+/// empty slot is the paper's "no timely response" and reads as `∞`/`⊥`) and
+/// advances the local state exactly as the corresponding phase of the
+/// shared-variable reference would. The runtime fills the slots from the
+/// cell's mailbox; the unit tests below drive them directly.
 pub struct CellNode {
     id: CellId,
     neighbors: Vec<CellId>,
@@ -114,16 +115,22 @@ impl CellNode {
         (!self.state.failed).then_some(self.state.dist)
     }
 
-    /// `Route` over the received distance announcements. Missing neighbors
-    /// read as `∞` (footnote 1 of the paper).
-    pub fn route_step(&mut self, dists: &HashMap<CellId, Dist>) {
+    /// `Route` over the received distance announcements, one slot per
+    /// neighbor. Silent neighbors read as `∞` (footnote 1 of the paper).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one slot per neighbor.
+    pub fn route_step(&mut self, dists: &[Option<Dist>]) {
+        assert_eq!(dists.len(), self.neighbors.len(), "one slot per neighbor");
         if self.state.failed || self.is_target {
             return;
         }
         let (dist, next) = route_update(
             self.neighbors
                 .iter()
-                .map(|&n| (n, dists.get(&n).copied().unwrap_or(Dist::Infinity))),
+                .zip(dists)
+                .map(|(&n, d)| (n, d.unwrap_or(Dist::Infinity))),
             self.config.dist_cap(),
         );
         self.state.dist = dist;
@@ -135,17 +142,35 @@ impl CellNode {
         (!self.state.failed).then_some((self.state.next, !self.state.members.is_empty()))
     }
 
-    /// `Signal` over the received route announcements.
-    pub fn signal_step(&mut self, routes: &HashMap<CellId, (Option<CellId>, bool)>) {
+    /// `Signal` over the received route announcements, one slot per
+    /// neighbor.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one slot per neighbor.
+    pub fn signal_step(&mut self, routes: &[Option<(Option<CellId>, bool)>]) {
+        assert_eq!(routes.len(), self.neighbors.len(), "one slot per neighbor");
         if self.state.failed {
             return;
         }
-        let ne_prev: BTreeSet<CellId> = self
-            .neighbors
-            .iter()
-            .filter(|&&n| matches!(routes.get(&n), Some(&(next, nonempty)) if next == Some(self.id) && nonempty))
-            .copied()
-            .collect();
+        // `NEPrev`: the nonempty neighbors routing through this cell, in
+        // set order. The set is rebuilt only when it changed, so a steady
+        // round allocates nothing.
+        let mut cands = [self.id; MAX_DEGREE];
+        let mut cn = 0;
+        for (&n, route) in self.neighbors.iter().zip(routes) {
+            if *route == Some((Some(self.id), true)) {
+                cands[cn] = n;
+                cn += 1;
+            }
+        }
+        cands[..cn].sort_unstable();
+        let ne_prev = &mut self.state.ne_prev;
+        if !ne_prev.iter().eq(&cands[..cn]) {
+            ne_prev.clear();
+            ne_prev.extend(&cands[..cn]);
+        }
+        let ne_prev = &self.state.ne_prev;
         let policy = self.config.token_policy();
         let mut token = self.state.token;
         // Mirror of the reference `Signal`: a corrupted non-neighbor token
@@ -154,7 +179,7 @@ impl CellNode {
             token = None;
         }
         if token.is_none() {
-            token = policy.choose(&ne_prev, self.id, self.round);
+            token = policy.choose(ne_prev, self.id, self.round);
         }
         let (signal, new_token) = match token {
             None => (None, None),
@@ -167,7 +192,7 @@ impl CellNode {
                     self.state.members.values(),
                 ) {
                     let rotated = if ne_prev.len() > 1 {
-                        policy.rotate(&ne_prev, tok, self.id, self.round)
+                        policy.rotate(ne_prev, tok, self.id, self.round)
                     } else if ne_prev.len() == 1 {
                         ne_prev.first().copied()
                     } else {
@@ -179,7 +204,6 @@ impl CellNode {
                 }
             }
         };
-        self.state.ne_prev = ne_prev;
         self.state.token = new_token;
         self.state.signal = signal;
     }
@@ -189,32 +213,44 @@ impl CellNode {
         (!self.state.failed).then_some(self.state.signal)
     }
 
-    /// `Move` over the received signal announcements: translate members if
-    /// permitted; crossing entities leave as `(neighbor, id, snapped
-    /// position)` transfer messages (already in the receiver's frame) or are
-    /// consumed if this node's `next` is the target.
+    /// `Move` over the received signal announcements, one slot per
+    /// neighbor: translate members if permitted; crossing entities are
+    /// appended to `outgoing` as `(neighbor, id, snapped position)` transfer
+    /// messages (already in the receiver's frame), or consumed if this
+    /// node's `next` is the target.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is exactly one slot per neighbor.
     pub fn move_step(
         &mut self,
-        signals: &HashMap<CellId, Option<CellId>>,
-    ) -> Vec<(CellId, EntityId, Point)> {
-        let mut outgoing = Vec::new();
+        signals: &[Option<Option<CellId>>],
+        outgoing: &mut Vec<(CellId, EntityId, Point)>,
+    ) {
+        assert_eq!(signals.len(), self.neighbors.len(), "one slot per neighbor");
         if self.state.failed || self.state.members.is_empty() {
-            return outgoing;
+            return;
         }
         let Some(nx) = self.state.next else {
-            return outgoing;
+            return;
         };
         // A crashed neighbor sent nothing: its stale signal reads as ⊥.
-        if signals.get(&nx).copied().flatten() != Some(self.id) {
-            return outgoing;
+        let granted = self
+            .neighbors
+            .iter()
+            .position(|&n| n == nx)
+            .is_some_and(|at| signals[at] == Some(Some(self.id)));
+        if !granted {
+            return;
         }
         let dir = self.id.dir_to(nx).expect("next is a neighbor");
         let params = self.config.params();
         let (v, h) = (params.v(), params.half_l());
         let boundary = self.id.boundary(dir);
-        let snapshot: Vec<(EntityId, Point)> =
-            self.state.members.iter().map(|(&k, &p)| (k, p)).collect();
-        for (eid, pos) in snapshot {
+        let to_target = nx == self.config.target();
+        let consumed = &mut self.consumed;
+        // Ascending id order, as the reference `Move` visits members.
+        self.state.members.retain(|&eid, pos| {
             let new_pos = pos.translate(dir, v);
             let far_edge = new_pos.along(dir.axis()) + h * dir.sign();
             let crossed = if dir.sign() > 0 {
@@ -222,20 +258,19 @@ impl CellNode {
             } else {
                 far_edge < boundary
             };
-            if crossed {
-                self.state.members.remove(&eid);
-                if nx == self.config.target() {
-                    self.consumed += 1;
-                } else {
-                    let entry = nx.boundary(dir.opposite());
-                    let snapped = new_pos.with_along(dir.axis(), entry + h * dir.sign());
-                    outgoing.push((nx, eid, snapped));
-                }
-            } else {
-                self.state.members.insert(eid, new_pos);
+            if !crossed {
+                *pos = new_pos;
+                return true;
             }
-        }
-        outgoing
+            if to_target {
+                *consumed += 1;
+            } else {
+                let entry = nx.boundary(dir.opposite());
+                let snapped = new_pos.with_along(dir.axis(), entry + h * dir.sign());
+                outgoing.push((nx, eid, snapped));
+            }
+            false
+        });
     }
 
     /// Incorporates entities that crossed into this cell this round.
@@ -367,19 +402,27 @@ mod tests {
         .with_source(CellId::new(0, 0))
     }
 
+    /// One slot per neighbor of `node`, filled from `heard` (`(sender,
+    /// payload)` pairs); the other neighbors stay silent.
+    fn slots<T: Copy>(node: &CellNode, heard: &[(CellId, T)]) -> Vec<Option<T>> {
+        node.neighbors()
+            .iter()
+            .map(|n| heard.iter().find(|(from, _)| from == n).map(|&(_, p)| p))
+            .collect()
+    }
+
     #[test]
     fn route_step_treats_silence_as_infinity() {
         let cfg = config();
         let mut node = CellNode::new(CellId::new(1, 0), &cfg);
         // Only the target responded.
-        let mut dists = HashMap::new();
-        dists.insert(CellId::new(2, 0), Dist::Finite(0));
+        let dists = slots(&node, &[(CellId::new(2, 0), Dist::Finite(0))]);
         node.route_step(&dists);
         assert_eq!(node.state().dist, Dist::Finite(1));
         assert_eq!(node.state().next, Some(CellId::new(2, 0)));
         // Nobody responded at all: both neighbors read ∞.
         let mut node = CellNode::new(CellId::new(1, 0), &cfg);
-        node.route_step(&HashMap::new());
+        node.route_step(&[None, None]);
         assert_eq!(node.state().dist, Dist::Infinity);
         assert_eq!(node.state().next, None);
     }
@@ -393,8 +436,7 @@ mod tests {
         assert_eq!(node.announce_dist(), None);
         assert_eq!(node.announce_route(), None);
         assert_eq!(node.announce_signal(), None);
-        let mut dists = HashMap::new();
-        dists.insert(CellId::new(2, 0), Dist::Finite(0));
+        let dists = slots(&node, &[(CellId::new(2, 0), Dist::Finite(0))]);
         node.route_step(&dists);
         assert_eq!(
             node.state().dist,
@@ -420,9 +462,13 @@ mod tests {
         let cfg = config();
         let mut mid = CellNode::new(CellId::new(1, 0), &cfg);
         // Upstream neighbor routes through us and is nonempty.
-        let mut routes = HashMap::new();
-        routes.insert(CellId::new(0, 0), (Some(CellId::new(1, 0)), true));
-        routes.insert(CellId::new(2, 0), (None, false));
+        let routes = slots(
+            &mid,
+            &[
+                (CellId::new(0, 0), (Some(CellId::new(1, 0)), true)),
+                (CellId::new(2, 0), (None, false)),
+            ],
+        );
         mid.signal_step(&routes);
         assert_eq!(mid.state().signal, Some(CellId::new(0, 0)));
         assert_eq!(mid.state().token, Some(CellId::new(0, 0)));
@@ -433,9 +479,7 @@ mod tests {
     fn move_step_emits_snapped_transfers() {
         let cfg = config();
         let mut src = CellNode::new(CellId::new(0, 0), &cfg);
-        let mut dists = HashMap::new();
-        dists.insert(CellId::new(1, 0), Dist::Finite(1));
-        src.route_step(&dists);
+        src.route_step(&slots(&src, &[(CellId::new(1, 0), Dist::Finite(1))]));
         // Seed an entity near the east boundary.
         src.state.members.insert(
             EntityId(0),
@@ -444,9 +488,9 @@ mod tests {
                 cellflow_geom::Fixed::HALF,
             ),
         );
-        let mut signals = HashMap::new();
-        signals.insert(CellId::new(1, 0), Some(CellId::new(0, 0)));
-        let out = src.move_step(&signals);
+        let signals = slots(&src, &[(CellId::new(1, 0), Some(CellId::new(0, 0)))]);
+        let mut out = Vec::new();
+        src.move_step(&signals, &mut out);
         assert_eq!(out.len(), 1);
         let (to, eid, pos) = out[0];
         assert_eq!(to, CellId::new(1, 0));
@@ -463,9 +507,7 @@ mod tests {
     fn consumption_happens_at_the_sender() {
         let cfg = config();
         let mut mid = CellNode::new(CellId::new(1, 0), &cfg);
-        let mut dists = HashMap::new();
-        dists.insert(CellId::new(2, 0), Dist::Finite(0));
-        mid.route_step(&dists);
+        mid.route_step(&slots(&mid, &[(CellId::new(2, 0), Dist::Finite(0))]));
         mid.state.members.insert(
             EntityId(3),
             Point::new(
@@ -473,9 +515,9 @@ mod tests {
                 cellflow_geom::Fixed::HALF,
             ),
         );
-        let mut signals = HashMap::new();
-        signals.insert(CellId::new(2, 0), Some(CellId::new(1, 0)));
-        let out = mid.move_step(&signals);
+        let signals = slots(&mid, &[(CellId::new(2, 0), Some(CellId::new(1, 0)))]);
+        let mut out = Vec::new();
+        mid.move_step(&signals, &mut out);
         assert!(out.is_empty(), "target-bound entities are not forwarded");
         assert_eq!(mid.consumed, 1);
         assert!(mid.state().members.is_empty());

@@ -3,13 +3,13 @@
 //! barrier-synchronized rounds, scripted faults, and an optional monitor
 //! collector.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use cellflow_core::fault::{FaultKind, FaultPlan, PartitionPlan, PartitionSchedule};
 use cellflow_core::monitor::{Monitor, MonitorCtx, MonitorViolation};
-use cellflow_core::{CellState, Dist, SystemConfig, SystemState};
+use cellflow_core::{CellState, Dist, EntityId, SystemConfig, SystemState};
+use cellflow_geom::Point;
 use cellflow_grid::CellId;
 use cellflow_telemetry::{cell_ordinal, Counter, Event, SpanBuilder, SpanKind, Tracer};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -20,10 +20,10 @@ use crate::supervisor::{RestartPolicy, SupervisorDecision};
 use crate::sync::{PoisonInfo, RoundBarrier, WAITS_PER_ROUND};
 use crate::telemetry::NetTelemetry;
 use crate::transport::{
-    ChaosConfig, ChaosStats, ChaosTransport, LinkFaultTransport, LinkStats, PerfectTransport,
-    Transport,
+    ChaosConfig, ChaosStats, ChaosTransport, EdgeLink, LinkFaultTransport, LinkStats, Mailbox,
+    PerfectTransport, Transport,
 };
-use crate::CellNode;
+use crate::node::{CellNode, MAX_DEGREE};
 
 /// The result of a message-passing run.
 #[derive(Clone, Debug, PartialEq)]
@@ -430,14 +430,9 @@ impl NetSystem {
             None => base,
         };
 
-        // One inbox per cell; every neighbor will hold a link to it.
-        let mut senders: HashMap<CellId, Sender<Envelope>> = HashMap::with_capacity(n);
-        let mut inboxes: HashMap<CellId, Receiver<Envelope>> = HashMap::with_capacity(n);
-        for &c in &cells {
-            let (tx, rx) = unbounded();
-            senders.insert(c, tx);
-            inboxes.insert(c, rx);
-        }
+        // One mailbox per cell, in `cells` (arena index) order; every
+        // neighbor will hold a link to it.
+        let mailboxes: Vec<Arc<Mailbox>> = cells.iter().map(|_| Arc::default()).collect();
 
         let mut barrier = RoundBarrier::new(n, self.round_timeout);
         if self.tracer.is_some() && telemetry.is_some() {
@@ -470,11 +465,15 @@ impl NetSystem {
                     .map(|&id| {
                         let node = CellNode::new(id, &self.config);
                         let seat = Seat {
-                            inbox: inboxes.remove(&id).expect("one inbox per cell"),
+                            mailbox: Arc::clone(&mailboxes[dims.index(id)]),
+                            spare: Vec::new(),
                             links: node
                                 .neighbors()
                                 .iter()
-                                .map(|&nb| (nb, transport.link(id, nb, senders[&nb].clone())))
+                                .map(|&nb| {
+                                    let inbox = Arc::clone(&mailboxes[dims.index(nb)]);
+                                    (nb, transport.link(id, nb, inbox))
+                                })
                                 .collect(),
                             result_tx: result_tx.clone(),
                             snap_tx: snap_tx.clone(),
@@ -486,6 +485,7 @@ impl NetSystem {
                             id,
                             node,
                             seat,
+                            heard: Heard::default(),
                             state: SlotState::Active,
                         }
                     })
@@ -532,7 +532,7 @@ impl NetSystem {
 
             // Assemble the final snapshot; every cell (or its last
             // incarnation) reports exactly once on the success path.
-            let mut states: HashMap<CellId, CellState> = HashMap::with_capacity(n);
+            let mut states: Vec<Option<CellState>> = vec![None; n];
             let mut consumed = 0u64;
             let mut inserted = 0u64;
             let mut reported = 0u64;
@@ -545,7 +545,7 @@ impl NetSystem {
                         reported += 1;
                         consumed += c;
                         inserted += i;
-                        states.insert(id, state);
+                        states[dims.index(id)] = Some(state);
                     }
                     // All workers exited without all cells reporting: the
                     // barrier poison tells us why; otherwise a thread
@@ -656,9 +656,9 @@ impl NetSystem {
                 (
                     NetReport {
                         state: SystemState {
-                            cells: cells
-                                .iter()
-                                .map(|&c| states.remove(&c).expect("every cell reported"))
+                            cells: states
+                                .into_iter()
+                                .map(|s| s.expect("every cell reported"))
                                 .collect(),
                             // The distributed runtime has no global counter;
                             // expose the number of insertions instead
@@ -760,8 +760,11 @@ impl RunCtx<'_> {
 /// One cell's connections (everything but the node itself, which a
 /// hard-crash re-spawn replaces from a checkpoint).
 struct Seat {
-    inbox: Receiver<Envelope>,
-    links: Vec<(CellId, Box<dyn crate::transport::EdgeLink>)>,
+    mailbox: Arc<Mailbox>,
+    /// The empty buffer the next drain swaps into `mailbox`.
+    spare: Vec<Envelope>,
+    /// One outgoing link per neighbor, in [`CellNode::neighbors`] order.
+    links: Vec<(CellId, Box<dyn EdgeLink>)>,
     result_tx: Sender<(CellId, CellState, u64, u64)>,
     snap_tx: Sender<Snapshot>,
     /// Handle into `cellflow_net_messages_sent_total` (a no-op counter when
@@ -786,6 +789,52 @@ impl Seat {
             link.flush();
         }
     }
+
+    /// Drains the mailbox for one exchange, handing each envelope of
+    /// `round` to `keep`; a straggler from an earlier round is footnote-1
+    /// silence. Returns how many envelopes the drain pulled.
+    fn drain(&mut self, round: u64, mut keep: impl FnMut(Message)) -> u64 {
+        self.mailbox.swap(&mut self.spare);
+        let drained = self.spare.len() as u64;
+        for env in self.spare.drain(..) {
+            if env.round == round {
+                keep(env.msg);
+            }
+        }
+        drained
+    }
+
+    /// Drains one announcement exchange into `slots`, one per neighbor in
+    /// `neighbors` order: each payload `pick` accepts lands in its sender's
+    /// slot, and a neighbor that sent none stays `None`. Duplicates carry
+    /// the same payload, so the last one wins harmlessly.
+    fn hear<T: Copy>(
+        &mut self,
+        round: u64,
+        neighbors: &[CellId],
+        slots: &mut [Option<T>; MAX_DEGREE],
+        pick: impl Fn(Message) -> Option<(CellId, T)>,
+    ) -> u64 {
+        *slots = [None; MAX_DEGREE];
+        self.drain(round, |msg| {
+            if let Some((from, payload)) = pick(msg) {
+                if let Some(at) = neighbors.iter().position(|&n| n == from) {
+                    slots[at] = Some(payload);
+                }
+            }
+        })
+    }
+}
+
+/// What one slot heard this round: each announcement exchange as one slot
+/// per neighbor in [`CellNode::neighbors`] order (`None` is silence), and
+/// the entities that crossed in. Reused from round to round.
+#[derive(Default)]
+struct Heard {
+    dists: [Option<Dist>; MAX_DEGREE],
+    routes: [Option<(Option<CellId>, bool)>; MAX_DEGREE],
+    signals: [Option<Option<CellId>>; MAX_DEGREE],
+    transfers: Vec<(EntityId, Point)>,
 }
 
 /// Where one slot is in its lifecycle.
@@ -801,12 +850,13 @@ enum SlotState {
     Gone,
 }
 
-/// One cell driven by a worker: its node, its seat, and where it is in its
-/// lifecycle.
+/// One cell driven by a worker: its node, its seat, what it heard this
+/// round, and where it is in its lifecycle.
 struct ShardSlot {
     id: CellId,
     node: CellNode,
     seat: Seat,
+    heard: Heard,
     state: SlotState,
 }
 
@@ -855,6 +905,12 @@ struct Snapshot {
 /// one), in which case the worker parks on
 /// [`RoundBarrier::wait_for_generation`].
 fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
+    // Per-round buffers, reused so a steady round allocates nothing: the
+    // live slots' positions, their barrier seats, and one slot's outgoing
+    // transfers.
+    let mut live: Vec<usize> = Vec::with_capacity(slots.len());
+    let mut seats: Vec<CellId> = Vec::with_capacity(slots.len());
+    let mut outgoing: Vec<(CellId, EntityId, Point)> = Vec::new();
     let mut round = 0;
     while round < ctx.rounds {
         // Wall-clock of one full worker round (all slots), waits included.
@@ -958,13 +1014,10 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
             }
         }
 
-        let live: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s.state, SlotState::Active))
-            .map(|(k, _)| k)
-            .collect();
-        let seats: Vec<CellId> = live.iter().map(|&k| slots[k].id).collect();
+        live.clear();
+        live.extend((0..slots.len()).filter(|&k| matches!(slots[k].state, SlotState::Active)));
+        seats.clear();
+        seats.extend(live.iter().map(|&k| slots[k].id));
         if seats.is_empty() {
             // Nothing live in this shard. If anything is dormant, park until
             // the earliest reserved seat's generation (the other workers
@@ -1009,27 +1062,22 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        let mut dists = Vec::with_capacity(live.len());
         for &k in &live {
-            let mut map = HashMap::new();
-            let mut drained = 0u64;
-            for env in slots[k].seat.inbox.try_iter() {
-                drained += 1;
-                if env.round != round {
-                    continue; // a delayed straggler: footnote-1 silence
-                }
-                if let Message::DistAnnounce { from, dist } = env.msg {
-                    map.insert(from, dist);
-                }
-            }
+            let ShardSlot {
+                node, seat, heard, ..
+            } = &mut slots[k];
+            let drained = seat.hear(round, node.neighbors(), &mut heard.dists, |msg| match msg {
+                Message::DistAnnounce { from, dist } => Some((from, dist)),
+                _ => None,
+            });
             ctx.observe_drain(drained);
-            dists.push(map);
         }
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        for (i, &k) in live.iter().enumerate() {
-            slots[k].node.route_step(&dists[i]);
+        for &k in &live {
+            let ShardSlot { node, heard, .. } = &mut slots[k];
+            node.route_step(&heard.dists[..node.neighbors().len()]);
         }
 
         // Exchange 2: (next, nonempty) → Signal.
@@ -1049,32 +1097,31 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        let mut routes = Vec::with_capacity(live.len());
         for &k in &live {
-            let mut map = HashMap::new();
-            let mut drained = 0u64;
-            for env in slots[k].seat.inbox.try_iter() {
-                drained += 1;
-                if env.round != round {
-                    continue;
-                }
-                if let Message::RouteAnnounce {
-                    from,
-                    next,
-                    nonempty,
-                } = env.msg
-                {
-                    map.insert(from, (next, nonempty));
-                }
-            }
+            let ShardSlot {
+                node, seat, heard, ..
+            } = &mut slots[k];
+            let drained = seat.hear(
+                round,
+                node.neighbors(),
+                &mut heard.routes,
+                |msg| match msg {
+                    Message::RouteAnnounce {
+                        from,
+                        next,
+                        nonempty,
+                    } => Some((from, (next, nonempty))),
+                    _ => None,
+                },
+            );
             ctx.observe_drain(drained);
-            routes.push(map);
         }
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        for (i, &k) in live.iter().enumerate() {
-            slots[k].node.signal_step(&routes[i]);
+        for &k in &live {
+            let ShardSlot { node, heard, .. } = &mut slots[k];
+            node.signal_step(&heard.routes[..node.neighbors().len()]);
         }
 
         // Exchange 3: signal → Move.
@@ -1091,21 +1138,20 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        let mut signals = Vec::with_capacity(live.len());
         for &k in &live {
-            let mut map = HashMap::new();
-            let mut drained = 0u64;
-            for env in slots[k].seat.inbox.try_iter() {
-                drained += 1;
-                if env.round != round {
-                    continue;
-                }
-                if let Message::SignalAnnounce { from, signal } = env.msg {
-                    map.insert(from, signal);
-                }
-            }
+            let ShardSlot {
+                node, seat, heard, ..
+            } = &mut slots[k];
+            let drained = seat.hear(
+                round,
+                node.neighbors(),
+                &mut heard.signals,
+                |msg| match msg {
+                    Message::SignalAnnounce { from, signal } => Some((from, signal)),
+                    _ => None,
+                },
+            );
             ctx.observe_drain(drained);
-            signals.push(map);
         }
         if ctx.wait_many(&seats).is_err() {
             return;
@@ -1115,22 +1161,26 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
         // The write-ahead discipline: persist an intent record *before* any
         // transfer leaves, so a crash between send and seal is visible in
         // the store instead of silently losing the round.
-        for (i, &k) in live.iter().enumerate() {
-            let slot = &mut slots[k];
-            let outgoing = slot.node.move_step(&signals[i]);
+        for &k in &live {
+            let ShardSlot {
+                id,
+                node,
+                seat,
+                heard,
+                ..
+            } = &mut slots[k];
+            node.move_step(&heard.signals[..node.neighbors().len()], &mut outgoing);
             if !outgoing.is_empty() {
                 let record = PersistedRecord {
                     round,
                     point: RecordPoint::Intent,
-                    checkpoint: slot.node.checkpoint(),
+                    checkpoint: node.checkpoint(),
                 };
-                ctx.persist(slot.id, &record);
+                ctx.persist(*id, &record);
             }
-            let id = slot.id;
-            let cause = ctx.cause(round, id);
-            for (to, entity, pos) in outgoing {
-                let link = slot
-                    .seat
+            let cause = ctx.cause(round, *id);
+            for (to, entity, pos) in outgoing.drain(..) {
+                let link = seat
                     .links
                     .iter_mut()
                     .find(|(nb, _)| *nb == to)
@@ -1140,42 +1190,33 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
                     round,
                     cause,
                     msg: Message::Transfer {
-                        from: id,
+                        from: *id,
                         entity,
                         pos,
                     },
                 });
-                slot.seat.messages.inc();
+                seat.messages.inc();
             }
-            slot.seat.flush();
+            seat.flush();
         }
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        let mut transfers = Vec::with_capacity(live.len());
         for &k in &live {
-            let mut drained = 0u64;
-            let batch: Vec<_> = slots[k]
-                .seat
-                .inbox
-                .try_iter()
-                .inspect(|_| drained += 1)
-                .filter_map(|env| match env.msg {
-                    Message::Transfer { entity, pos, .. } if env.round == round => {
-                        Some((entity, pos))
-                    }
-                    _ => None,
-                })
-                .collect();
+            let ShardSlot { seat, heard, .. } = &mut slots[k];
+            let drained = seat.drain(round, |msg| {
+                if let Message::Transfer { entity, pos, .. } = msg {
+                    heard.transfers.push((entity, pos));
+                }
+            });
             ctx.observe_drain(drained);
-            transfers.push(batch);
         }
         if ctx.wait_many(&seats).is_err() {
             return;
         }
-        for (i, &k) in live.iter().enumerate() {
+        for &k in &live {
             let slot = &mut slots[k];
-            slot.node.receive_transfers(std::mem::take(&mut transfers[i]));
+            slot.node.receive_transfers(slot.heard.transfers.drain(..));
             slot.node.source_step();
             slot.node.finish_round();
             // Seal the round: the durable snapshot a re-spawn restores from.
@@ -1208,10 +1249,13 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
 }
 
 /// The monitor collector: reassembles each round's global state from node
-/// snapshots and feeds it to the monitors. Hard-dead cells (between a
-/// hard crash and its re-spawn) send nothing; the collector carries their
-/// last reported state forward with the `fail` transition applied, which is
-/// exactly the shared-variable reference's reading of those rounds.
+/// snapshots and feeds it to the monitors. It keeps one [`SystemState`] and
+/// moves each snapshot into its cell, so a round costs one comparison per
+/// snapshot plus the monitors' work over the cells that changed. Hard-dead
+/// cells (between a hard crash and its re-spawn) send nothing; the
+/// collector carries their last reported state forward with the `fail`
+/// transition applied, which is exactly the shared-variable reference's
+/// reading of those rounds.
 #[allow(clippy::too_many_arguments)]
 fn collect_rounds(
     config: &SystemConfig,
@@ -1233,32 +1277,36 @@ fn collect_rounds(
     Vec<String>,
     Option<Box<cellflow_core::snapshot::Recorder>>,
 ) {
+    let dims = config.dims();
     let n = cells.len();
     let (mut prev_consumed, mut prev_inserted) = (0u64, 0u64);
-    // Per-cell (consumed, inserted) watermarks from the previous round, so
-    // the tracer can attribute each round's deliveries/insertions to the
-    // cell-round spans that produced them. Only maintained when tracing.
-    let mut prev_cells: HashMap<CellId, (u64, u64)> = HashMap::new();
-    let mut last: HashMap<CellId, (CellState, u64, u64)> = cells
-        .iter()
-        .map(|&c| {
-            let state = if c == config.target() {
-                CellState::initial_target()
-            } else {
-                CellState::initial()
-            };
-            (c, (state, 0, 0))
-        })
-        .collect();
+    let (mut consumed_total, mut inserted_total) = (0u64, 0u64);
+    // Each cell's latest (consumed, inserted) tallies, by arena index, and
+    // the previous round's, so the tracer can attribute each round's
+    // deliveries/insertions to the cell-round spans that produced them.
+    let mut tallies = vec![(0u64, 0u64); n];
+    let mut prev_tallies = tallies.clone();
+    let mut state = SystemState {
+        cells: cells
+            .iter()
+            .map(|&c| {
+                if c == config.target() {
+                    CellState::initial_target()
+                } else {
+                    CellState::initial()
+                }
+            })
+            .collect(),
+        next_entity_id: 0,
+    };
+    // The arena indices of the cells that differ from the previous round's
+    // state: the monitors' `MonitorCtx::changed`.
+    let mut changed: Vec<u32> = Vec::new();
     let mut violations = Vec::new();
     // The recording opens on the deployment's initial state — the keyframe
     // every replay re-derives the run from.
     if let Some(rec) = recorder.as_deref_mut() {
-        let initial = SystemState {
-            cells: cells.iter().map(|&c| last[&c].0.clone()).collect(),
-            next_entity_id: 0,
-        };
-        rec.record(0, &initial);
+        rec.record(0, &state);
     }
     'rounds: for round in 0..rounds {
         let mut dead = plan.hard_dead_at(round);
@@ -1270,39 +1318,43 @@ fn collect_rounds(
             }
         }
         let expect = n - dead.len();
+        changed.clear();
         for _ in 0..expect {
             match snap_rx.recv_timeout(patience) {
                 Ok(snap) => {
                     debug_assert_eq!(snap.round, round, "snapshots arrive in round order");
-                    last.insert(snap.id, (snap.state, snap.consumed, snap.inserted));
+                    let k = dims.index(snap.id);
+                    let (consumed, inserted) =
+                        std::mem::replace(&mut tallies[k], (snap.consumed, snap.inserted));
+                    consumed_total = consumed_total - consumed + snap.consumed;
+                    inserted_total = inserted_total - inserted + snap.inserted;
+                    if state.cells[k] != snap.state {
+                        state.cells[k] = snap.state;
+                        changed.push(k as u32);
+                    }
                 }
                 // The run aborted (timeout/kill/panic): report what the
                 // completed rounds established.
                 Err(_) => break 'rounds,
             }
         }
-        let mut consumed_total = 0;
-        let mut inserted_total = 0;
-        let assembled: Vec<CellState> = cells
-            .iter()
-            .map(|&c| {
-                let (state, consumed, inserted) = &last[&c];
-                consumed_total += consumed;
-                inserted_total += inserted;
-                let mut state = state.clone();
-                if dead.contains(&c) {
-                    state.failed = true;
-                    state.dist = Dist::Infinity;
-                    state.next = None;
-                    state.signal = None;
-                }
-                state
-            })
-            .collect();
-        let state = SystemState {
-            cells: assembled,
-            next_entity_id: inserted_total,
-        };
+        for &c in &dead {
+            let k = dims.index(c);
+            let cell = &mut state.cells[k];
+            let live = !cell.failed
+                || cell.dist != Dist::Infinity
+                || cell.next.is_some()
+                || cell.signal.is_some();
+            if live {
+                cell.failed = true;
+                cell.dist = Dist::Infinity;
+                cell.next = None;
+                cell.signal = None;
+                changed.push(k as u32);
+            }
+        }
+        changed.sort_unstable();
+        state.next_entity_id = inserted_total;
         // One frame per completed round, off the same sealed snapshots the
         // monitors read — the WAL seal is the recording's consistency point.
         if let Some(rec) = recorder.as_deref_mut() {
@@ -1355,9 +1407,7 @@ fn collect_rounds(
                 || partition.is_some_and(|s| s.active(round)),
             consumed_total,
             inserted_total,
-            // The collector assembles each round's state from snapshots and
-            // does not track which cells changed: monitors scan in full.
-            changed: None,
+            changed: Some(&changed),
         };
         let fresh_violations = violations.len();
         for monitor in monitors.iter_mut() {
@@ -1443,14 +1493,14 @@ fn collect_rounds(
                     WAITS_PER_ROUND,
                     0,
                 );
-                for &cell in cells {
-                    let (consumed, inserted) = (last[&cell].1, last[&cell].2);
-                    let (pc, pi) = prev_cells.get(&cell).copied().unwrap_or((0, 0));
+                for ((&cell, &(consumed, inserted)), prev) in
+                    cells.iter().zip(&tallies).zip(&mut prev_tallies)
+                {
+                    let (pc, pi) = std::mem::replace(prev, (consumed, inserted));
                     let work = consumed.saturating_sub(pc) + inserted.saturating_sub(pi);
                     if work > 0 {
                         b.leaf(tr.cell_round_id(r, cell), SpanKind::Cell, Some(cell), work, 0);
                     }
-                    prev_cells.insert(cell, (consumed, inserted));
                 }
                 for event in b.finish() {
                     tel.emit(r, event);
@@ -1879,10 +1929,11 @@ mod tests {
     fn broadcast_stamps_the_causal_id_on_every_envelope() {
         let from = CellId::new(1, 1);
         let to = CellId::new(1, 2);
-        let (tx, rx) = unbounded();
+        let inbox = Arc::new(Mailbox::new());
         let mut seat = Seat {
-            inbox: unbounded().1,
-            links: vec![(to, PerfectTransport.link(from, to, tx))],
+            mailbox: Arc::new(Mailbox::new()),
+            spare: Vec::new(),
+            links: vec![(to, PerfectTransport.link(from, to, Arc::clone(&inbox)))],
             result_tx: unbounded().0,
             snap_tx: unbounded().0,
             messages: Counter::noop(),
@@ -1890,7 +1941,9 @@ mod tests {
         let tracer = Tracer::new(7);
         let cause = tracer.cell_round_id(4, from);
         seat.broadcast(3, cause, || Message::MoveDone { from });
-        let env = rx.try_recv().unwrap();
+        let mut delivered = Vec::new();
+        inbox.swap(&mut delivered);
+        let env = &delivered[0];
         assert_eq!(env.round, 3);
         assert_eq!(env.cause, cause, "the envelope carries the sender's id");
     }

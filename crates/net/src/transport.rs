@@ -1,7 +1,11 @@
 //! The transport abstraction: how envelopes travel along grid edges.
 //!
-//! The runtime does not talk to channels directly; every directed edge
-//! `(from, to)` gets an [`EdgeLink`] from the configured [`Transport`]:
+//! Every cell owns one [`Mailbox`]: a mutex-guarded envelope queue that its
+//! neighbors' links append to and that the cell's worker drains once per
+//! exchange by swapping in a buffer it keeps, so delivery allocates nothing
+//! once the buffers have grown to a round's traffic. The runtime does not
+//! write to mailboxes directly; every directed edge `(from, to)` gets an
+//! [`EdgeLink`] into `to`'s mailbox from the configured [`Transport`]:
 //!
 //! * [`PerfectTransport`] — the synchrony assumption of the paper taken at
 //!   face value: every message arrives, exactly once, within its exchange.
@@ -32,15 +36,52 @@
 //! reads as `∞`/`⊥`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use cellflow_core::PartitionSchedule;
 use cellflow_grid::CellId;
-use crossbeam::channel::Sender;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::message::{Envelope, Message};
+
+/// One cell's inbox: the envelopes its neighbors' links delivered since
+/// the cell last drained it.
+///
+/// Links append under the lock; the owning worker drains it by swapping
+/// the queue for an empty buffer it keeps, so both vectors keep their
+/// capacity from exchange to exchange. The round barrier fences every
+/// exchange's sends from its drains, so the lock is only ever contended by
+/// neighbors sending from different workers.
+#[derive(Debug, Default)]
+pub struct Mailbox {
+    queue: Mutex<Vec<Envelope>>,
+}
+
+impl Mailbox {
+    /// An empty mailbox.
+    pub fn new() -> Mailbox {
+        Mailbox::default()
+    }
+
+    /// Appends one envelope.
+    pub fn deliver(&self, env: Envelope) {
+        self.lock().push(env);
+    }
+
+    /// Moves every queued envelope into `buf`, in delivery order, and
+    /// leaves `buf`'s previous allocation queued in its place. `buf` should
+    /// be empty: whatever it held is queued again.
+    pub(crate) fn swap(&self, buf: &mut Vec<Envelope>) {
+        std::mem::swap(&mut *self.lock(), buf);
+    }
+
+    // A panic while holding the lock cannot leave the queue half-written
+    // (`push` either happens or not), so a poisoned lock is recovered.
+    fn lock(&self) -> MutexGuard<'_, Vec<Envelope>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
 
 /// A directed edge's sending endpoint, as seen by one cell.
 ///
@@ -57,16 +98,16 @@ pub trait EdgeLink: Send {
 
 /// A factory of [`EdgeLink`]s — the deployment's network fabric.
 pub trait Transport: Sync {
-    /// Creates the link for the directed edge `from → to` over the raw
-    /// channel `tx`.
-    fn link(&self, from: CellId, to: CellId, tx: Sender<Envelope>) -> Box<dyn EdgeLink>;
+    /// Creates the link for the directed edge `from → to`, delivering into
+    /// `to`'s mailbox `inbox`.
+    fn link(&self, from: CellId, to: CellId, inbox: Arc<Mailbox>) -> Box<dyn EdgeLink>;
 }
 
 // Fabrics compose by reference: a wrapper like `LinkFaultTransport` can sit
 // over a borrowed `&dyn Transport` without taking ownership of it.
 impl<T: Transport + ?Sized> Transport for &T {
-    fn link(&self, from: CellId, to: CellId, tx: Sender<Envelope>) -> Box<dyn EdgeLink> {
-        (**self).link(from, to, tx)
+    fn link(&self, from: CellId, to: CellId, inbox: Arc<Mailbox>) -> Box<dyn EdgeLink> {
+        (**self).link(from, to, inbox)
     }
 }
 
@@ -75,22 +116,20 @@ impl<T: Transport + ?Sized> Transport for &T {
 pub struct PerfectTransport;
 
 struct PerfectLink {
-    tx: Sender<Envelope>,
+    inbox: Arc<Mailbox>,
 }
 
 impl EdgeLink for PerfectLink {
     fn send(&mut self, env: Envelope) {
-        // A receiver that already exited (aborted run) makes sends fail;
-        // that is fine, the sender will observe the abort at its barrier.
-        self.tx.send(env).ok();
+        self.inbox.deliver(env);
     }
 
     fn flush(&mut self) {}
 }
 
 impl Transport for PerfectTransport {
-    fn link(&self, _from: CellId, _to: CellId, tx: Sender<Envelope>) -> Box<dyn EdgeLink> {
-        Box::new(PerfectLink { tx })
+    fn link(&self, _from: CellId, _to: CellId, inbox: Arc<Mailbox>) -> Box<dyn EdgeLink> {
+        Box::new(PerfectLink { inbox })
     }
 }
 
@@ -204,7 +243,7 @@ impl ChaosTransport {
 use cellflow_core::hash::edge_seed;
 
 struct ChaosLink {
-    tx: Sender<Envelope>,
+    inbox: Arc<Mailbox>,
     rng: SmallRng,
     config: ChaosConfig,
     stats: Arc<StatsCells>,
@@ -224,20 +263,26 @@ impl EdgeLink for ChaosLink {
     }
 
     fn flush(&mut self) {
+        if self.held.is_empty() && self.queue.is_empty() {
+            return;
+        }
+        let mut inbox = self.inbox.lock();
         // Stragglers from the previous exchange go out first; their round
         // and variant no longer match what the receiver drains for, so they
         // are read as silence — exactly footnote 1's "no timely response".
-        for env in self.held.drain(..) {
-            self.tx.send(env).ok();
-        }
-        let mut queue = std::mem::take(&mut self.queue);
-        if queue.len() > 1 && self.rng.gen_bool(self.config.reorder_rate) {
-            queue.reverse();
+        inbox.append(&mut self.held);
+        // One exchange's queue shares one round, so a quiet round draws no
+        // reorder fault at all.
+        if self.queue.len() > 1
+            && self.config.active(self.queue[0].round)
+            && self.rng.gen_bool(self.config.reorder_rate)
+        {
+            self.queue.reverse();
             self.stats.reordered.fetch_add(1, Ordering::Relaxed);
         }
-        for env in queue {
+        for env in self.queue.drain(..) {
             if is_exempt(&env.msg) || !self.config.active(env.round) {
-                self.tx.send(env).ok();
+                inbox.push(env);
                 continue;
             }
             if self.rng.gen_bool(self.config.drop_rate) {
@@ -249,20 +294,19 @@ impl EdgeLink for ChaosLink {
                 self.held.push(env);
                 continue;
             }
-            let dup = self.rng.gen_bool(self.config.dup_rate);
-            self.tx.send(env.clone()).ok();
-            if dup {
+            if self.rng.gen_bool(self.config.dup_rate) {
                 self.stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                self.tx.send(env).ok();
+                inbox.push(env.clone());
             }
+            inbox.push(env);
         }
     }
 }
 
 impl Transport for ChaosTransport {
-    fn link(&self, from: CellId, to: CellId, tx: Sender<Envelope>) -> Box<dyn EdgeLink> {
+    fn link(&self, from: CellId, to: CellId, inbox: Arc<Mailbox>) -> Box<dyn EdgeLink> {
         Box::new(ChaosLink {
-            tx,
+            inbox,
             rng: SmallRng::seed_from_u64(edge_seed(self.config.seed, from, to)),
             config: self.config,
             stats: self.stats.clone(),
@@ -339,9 +383,9 @@ impl EdgeLink for LinkFaultLink {
 }
 
 impl<T: Transport> Transport for LinkFaultTransport<T> {
-    fn link(&self, from: CellId, to: CellId, tx: Sender<Envelope>) -> Box<dyn EdgeLink> {
+    fn link(&self, from: CellId, to: CellId, inbox: Arc<Mailbox>) -> Box<dyn EdgeLink> {
         Box::new(LinkFaultLink {
-            inner: self.inner.link(from, to, tx),
+            inner: self.inner.link(from, to, inbox),
             from,
             to,
             schedule: self.schedule.clone(),
@@ -354,7 +398,17 @@ impl<T: Transport> Transport for LinkFaultTransport<T> {
 mod tests {
     use super::*;
     use cellflow_routing::Dist;
-    use crossbeam::channel::unbounded;
+
+    fn mailbox() -> Arc<Mailbox> {
+        Arc::new(Mailbox::new())
+    }
+
+    /// Everything `inbox` holds, in delivery order.
+    fn drain(inbox: &Mailbox) -> Vec<Envelope> {
+        let mut buf = Vec::new();
+        inbox.swap(&mut buf);
+        buf
+    }
 
     fn announce(round: u64) -> Envelope {
         Envelope {
@@ -381,10 +435,10 @@ mod tests {
 
     #[test]
     fn perfect_link_delivers_immediately() {
-        let (tx, rx) = unbounded();
-        let mut link = PerfectTransport.link(CellId::new(0, 0), CellId::new(0, 1), tx);
+        let inbox = mailbox();
+        let mut link = PerfectTransport.link(CellId::new(0, 0), CellId::new(0, 1), inbox.clone());
         link.send(announce(0));
-        assert_eq!(rx.try_iter().count(), 1);
+        assert_eq!(drain(&inbox).len(), 1);
     }
 
     #[test]
@@ -393,14 +447,14 @@ mod tests {
             drop_rate: 1.0,
             ..ChaosConfig::quiet(42)
         });
-        let (tx, rx) = unbounded();
-        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), tx);
+        let inbox = mailbox();
+        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), inbox.clone());
         for round in 0..10 {
             link.send(announce(round));
             link.send(transfer(round));
             link.flush();
         }
-        let received: Vec<Envelope> = rx.try_iter().collect();
+        let received = drain(&inbox);
         assert_eq!(received.len(), 10, "transfers are exempt from chaos");
         assert!(received
             .iter()
@@ -414,13 +468,13 @@ mod tests {
             delay_rate: 1.0,
             ..ChaosConfig::quiet(7)
         });
-        let (tx, rx) = unbounded();
-        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), tx);
+        let inbox = mailbox();
+        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), inbox.clone());
         link.send(announce(0));
         link.flush();
-        assert_eq!(rx.try_iter().count(), 0, "held back");
+        assert_eq!(drain(&inbox).len(), 0, "held back");
         link.flush();
-        let late: Vec<Envelope> = rx.try_iter().collect();
+        let late = drain(&inbox);
         assert_eq!(late.len(), 1, "straggler delivered exactly once");
         assert_eq!(late[0].round, 0, "still tagged with its original round");
         assert_eq!(transport.stats().delayed, 1);
@@ -432,11 +486,11 @@ mod tests {
             dup_rate: 1.0,
             ..ChaosConfig::quiet(9)
         });
-        let (tx, rx) = unbounded();
-        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), tx);
+        let inbox = mailbox();
+        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), inbox.clone());
         link.send(announce(0));
         link.flush();
-        assert_eq!(rx.try_iter().count(), 2);
+        assert_eq!(drain(&inbox).len(), 2);
         assert_eq!(transport.stats().duplicated, 1);
     }
 
@@ -447,14 +501,56 @@ mod tests {
             until_round: Some(5),
             ..ChaosConfig::quiet(3)
         });
-        let (tx, rx) = unbounded();
-        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), tx);
+        let inbox = mailbox();
+        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), inbox.clone());
         for round in 0..10 {
             link.send(announce(round));
             link.flush();
         }
-        assert_eq!(rx.try_iter().count(), 5, "rounds 5..10 fly clean");
+        assert_eq!(drain(&inbox).len(), 5, "rounds 5..10 fly clean");
         assert_eq!(transport.stats().dropped, 5);
+
+        // Reordering stops with the rest of the chaos: only the five
+        // active rounds' two-envelope flushes are reversed.
+        let transport = ChaosTransport::new(ChaosConfig {
+            reorder_rate: 1.0,
+            until_round: Some(5),
+            ..ChaosConfig::quiet(3)
+        });
+        let inbox = mailbox();
+        let mut link = transport.link(CellId::new(0, 0), CellId::new(0, 1), inbox.clone());
+        for round in 0..10 {
+            link.send(transfer(round));
+            link.send(announce(round));
+            link.flush();
+        }
+        let received = drain(&inbox);
+        assert_eq!(received.len(), 20);
+        for (round, pair) in received.chunks(2).enumerate() {
+            let reversed = matches!(pair[0].msg, Message::DistAnnounce { .. });
+            assert_eq!(reversed, round < 5, "round {round}");
+        }
+        assert_eq!(transport.stats().reordered, 5);
+    }
+
+    #[test]
+    fn mailbox_swaps_keep_order_and_buffers() {
+        let inbox = Mailbox::new();
+        let mut buf = Vec::with_capacity(8);
+        let spare = buf.as_ptr();
+        for round in 0..3 {
+            inbox.deliver(announce(round));
+        }
+        inbox.swap(&mut buf);
+        let rounds: Vec<u64> = buf.iter().map(|e| e.round).collect();
+        assert_eq!(rounds, [0, 1, 2], "delivery order survives the swap");
+        buf.clear();
+        // The drained buffer goes back in as the next queue, and the next
+        // swap returns the spare: no exchange allocates a fresh vector.
+        inbox.deliver(announce(3));
+        inbox.swap(&mut buf);
+        assert_eq!(buf.as_ptr(), spare);
+        assert_eq!(buf.len(), 1);
     }
 
     #[test]
@@ -467,10 +563,10 @@ mod tests {
         let plan = PartitionPlan::for_grid(GridDims::square(2)).cut(a, b, 2, Some(5));
         let transport = LinkFaultTransport::new(PerfectTransport, plan.expand(10));
 
-        let (tx, rx) = unbounded();
-        let mut cut_link = transport.link(a, b, tx);
-        let (back_tx, back_rx) = unbounded();
-        let mut open_link = transport.link(b, a, back_tx);
+        let inbox = mailbox();
+        let mut cut_link = transport.link(a, b, inbox.clone());
+        let back_inbox = mailbox();
+        let mut open_link = transport.link(b, a, back_inbox.clone());
         for round in 0..10 {
             cut_link.send(announce(round));
             cut_link.send(transfer(round));
@@ -478,7 +574,7 @@ mod tests {
             open_link.send(announce(round));
             open_link.flush();
         }
-        let received: Vec<Envelope> = rx.try_iter().collect();
+        let received = drain(&inbox);
         // Announcements vanish during rounds 2..5; transfers always pass.
         let announces = received
             .iter()
@@ -486,7 +582,7 @@ mod tests {
             .count();
         assert_eq!(announces, 7);
         assert_eq!(received.len(), 17);
-        assert_eq!(back_rx.try_iter().count(), 10, "the reverse edge is open");
+        assert_eq!(drain(&back_inbox).len(), 10, "the reverse edge is open");
         assert_eq!(transport.stats(), LinkStats { suppressed: 3 });
     }
 
@@ -504,14 +600,14 @@ mod tests {
         });
         // Composition by reference: the chaos fabric is merely borrowed.
         let transport = LinkFaultTransport::new(&chaos, plan.expand(10));
-        let (tx, rx) = unbounded();
-        let mut link = transport.link(a, b, tx);
+        let inbox = mailbox();
+        let mut link = transport.link(a, b, inbox.clone());
         for round in 0..10 {
             link.send(announce(round));
             link.flush();
         }
         // Rounds 0..5 are cut before chaos sees them; 5..10 get duplicated.
-        assert_eq!(rx.try_iter().count(), 10);
+        assert_eq!(drain(&inbox).len(), 10);
         assert_eq!(transport.stats().suppressed, 5);
         assert_eq!(chaos.stats().duplicated, 5);
     }
@@ -523,13 +619,16 @@ mod tests {
                 drop_rate: 0.5,
                 ..ChaosConfig::quiet(seed)
             });
-            let (tx, rx) = unbounded();
-            let mut link = transport.link(CellId::new(1, 2), CellId::new(1, 3), tx);
+            let inbox = mailbox();
+            let mut link = transport.link(CellId::new(1, 2), CellId::new(1, 3), inbox.clone());
             for round in 0..100 {
                 link.send(announce(round));
                 link.flush();
             }
-            rx.try_iter().map(|e| e.round).collect::<Vec<u64>>()
+            drain(&inbox)
+                .into_iter()
+                .map(|e| e.round)
+                .collect::<Vec<u64>>()
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12), "different seeds differ somewhere");
