@@ -1353,9 +1353,13 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
         .hard_crash_at(hard_at, hard_victim)
         .recover_at(hard_respawn, hard_victim);
 
+    // One directory per run: runs of one seed in one process (parallel
+    // tests) must not delete each other's store.
+    static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let store_dir = std::env::temp_dir().join(format!(
-        "cellflow-stabilize-{seed}-{}",
-        std::process::id()
+        "cellflow-stabilize-{seed}-{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
     let store = DurableStore::create(&store_dir).map_err(|e| e.to_string())?;
     let probe = StabilizationProbe::new();
@@ -2211,6 +2215,20 @@ mod tests {
         std::fs::write(&bad, "not json at all\n").expect("write");
         let err = dispatch(&argv(&format!("inspect {bad}"))).unwrap_err();
         assert!(err.contains(":1:"), "error cites the line: {err}");
+    }
+
+    #[test]
+    fn deeply_nested_streams_are_rejected_with_a_line() {
+        let scratch = Scratch::new("deep-json");
+        for (name, unit) in [("arrays.jsonl", "["), ("objects.jsonl", "{\"a\":")] {
+            let deep = scratch.path(name);
+            std::fs::write(&deep, unit.repeat(1_000_000)).expect("write");
+            for command in ["inspect", "trace"] {
+                let err = dispatch(&argv(&format!("{command} {deep}"))).unwrap_err();
+                assert!(err.contains(&format!("{deep}:1:")), "{command}: {err}");
+                assert!(err.contains("nesting deeper than"), "{command}: {err}");
+            }
+        }
     }
 
     #[test]

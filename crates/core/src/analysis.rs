@@ -19,7 +19,8 @@ pub fn failed_set(config: &SystemConfig, state: &SystemState) -> HashSet<CellId>
 /// The paper's path distance `ρ(x, ⟨i,j⟩)`: hop distance to the target
 /// through non-faulty cells, `None` for `∞`.
 pub fn rho(config: &SystemConfig, state: &SystemState) -> connectivity::Distances {
-    connectivity::path_distances(config.dims(), config.target(), &failed_set(config, state))
+    let failed: Vec<bool> = state.cells.iter().map(|c| c.failed).collect();
+    connectivity::path_distances_flat(config.dims(), config.target(), &failed)
 }
 
 /// The target-connected set `TC(x)`: cells with finite path distance.

@@ -34,9 +34,9 @@
 //! On top of the flat layout, the engine schedules rounds **sparsely** by
 //! default ([`ExecMode::Sparse`]): per-round dirty tracking (distance
 //! updates, occupancy flips, sticky signal registers, link-cut diffs,
-//! fault/corruption imports via [`Engine::load_state`]) shrinks each phase's
-//! sweep to the cells whose inputs changed, so a quiescent region costs
-//! O(active), not O(N). Each phase sweeps its sorted list on the calling
+//! per-cell fault and corruption imports via [`Engine::load_cell`]) shrinks
+//! each phase's sweep to the cells whose inputs changed, so a quiescent
+//! region costs O(active), not O(N), and a fault edit O(edited cells). Each phase sweeps its sorted list on the calling
 //! thread, in ascending cell order, so the events come out in the same
 //! row-major order the dense sweep emits them. The dense mode remains
 //! available as the differential reference and benchmark baseline.
@@ -262,7 +262,8 @@ struct MoveSink<'a> {
 ///   neighbors' `dist`, its own `failed` flag and its incoming-cut mask, so
 ///   `route_now` holds every cell for which any of those changed since it
 ///   last ran (neighbor dist writes mark neighbors; cut diffs mark the
-///   reading cell; fault/corruption imports mark everything).
+///   reading cell; a per-cell import marks the cell and its neighbors; a
+///   whole-state import marks everything).
 /// * **Signal** — a skipped cell must be *idle*: registers `(0, ⊥, ⊥)` and
 ///   no requester. Any cell that finishes `Signal` with a nonzero register
 ///   re-marks itself ("sticky"); requester appearance is covered by
@@ -309,8 +310,8 @@ struct Sched {
     /// switches — anything that may have rewritten arbitrary registers).
     mark_all: bool,
     /// Any cell may differ from the previous round (a dense round, a
-    /// full-set round, or a `load_state` since): `touch` does not bound
-    /// the change.
+    /// full-set round, or an import since): `touch` does not bound the
+    /// change.
     changed_all: bool,
 }
 
@@ -597,12 +598,13 @@ pub struct Engine {
     /// `2 · max occupancy`, so a cell pinned at its capacity plateaus at
     /// twice that value while a transient spike washes out within a few
     /// rounds — the signal the cascade heat maps render. Derived telemetry,
-    /// not protocol state: it survives [`Engine::load_state`] (which runs on
-    /// every fault injection) and is zeroed only at construction.
+    /// not protocol state: it survives [`Engine::load_state`] and
+    /// [`Engine::load_cell`] and is zeroed only at construction.
     pressure: Vec<u64>,
     /// Exact `ne_prev` sets that cannot be encoded as a neighbor mask
-    /// (injected via [`Engine::load_state`] from hand-built states; dropped
-    /// as soon as `Signal` rewrites the cell). Empty in any reachable state.
+    /// (imported from hand-built states, a cell's entry replaced by each
+    /// import of that cell; dropped as soon as `Signal` rewrites the cell).
+    /// Empty in any reachable state.
     ne_override: Vec<(u32, BTreeSet<CellId>)>,
     /// Per-cell incoming-cut masks for the *next* round (bit `s` set ⇔ the
     /// neighbor in `Dir::ALL[s]` is unreadable — its announcements are
@@ -610,7 +612,7 @@ pub struct Engine {
     /// from that side, exactly footnote 1's silent-neighbor semantics).
     /// Empty (the default) means no link faults; set per round via
     /// [`Engine::set_link_cuts`]. Transient input, not protocol state: it
-    /// survives [`Engine::load_state`] and is never exported.
+    /// survives every import and is never exported.
     link_cuts: Vec<u8>,
     /// Number of buffer-growth (re)allocations since the last reset.
     alloc_events: u64,
@@ -738,6 +740,12 @@ impl Engine {
         self.next_entity_id
     }
 
+    /// Overrides the fresh-identifier counter — for an entity minted
+    /// outside the sources and imported with [`Engine::load_cell`].
+    pub fn set_next_entity_id(&mut self, next: u64) {
+        self.next_entity_id = next;
+    }
+
     /// Total entities currently in the system.
     pub fn entity_count(&self) -> usize {
         self.members.iter().map(|m| m.len()).sum()
@@ -860,7 +868,7 @@ impl Engine {
             }
             for (k, &m) in masks.iter().enumerate() {
                 if m != 0 {
-                    self.mark_cut_changed(k as u32);
+                    self.mark_inputs_changed(k as u32);
                 }
             }
             self.link_cuts = masks.to_vec();
@@ -877,9 +885,10 @@ impl Engine {
         }
     }
 
-    /// A cell's incoming-cut mask changed: its `Route` argmin and `Signal`
-    /// requester mask read different inputs next round.
-    fn mark_cut_changed(&mut self, k: u32) {
+    /// Cell `k`'s `Route` argmin and `Signal` requester mask read different
+    /// inputs next round: its incoming-cut mask changed, or an edit
+    /// rewrote it or a neighbor.
+    fn mark_inputs_changed(&mut self, k: u32) {
         self.sched.route_next.insert(k, &mut self.alloc_events);
         self.sched.sig_next.insert(k, &mut self.alloc_events);
     }
@@ -888,7 +897,7 @@ impl Engine {
     pub fn clear_link_cuts(&mut self) {
         for k in 0..self.link_cuts.len() {
             if self.link_cuts[k] != 0 {
-                self.mark_cut_changed(k as u32);
+                self.mark_inputs_changed(k as u32);
             }
         }
         self.link_cuts.clear();
@@ -896,7 +905,9 @@ impl Engine {
 
     /// Imports `state` into the arenas (replacing everything). `ne_prev`
     /// sets that are not representable as a neighbor mask are retained
-    /// verbatim so [`Engine::store_state`] loses nothing.
+    /// verbatim so [`Engine::store_state`] loses nothing. The next sparse
+    /// round runs on full sets; edits to single cells go through
+    /// [`Engine::load_cell`] instead.
     ///
     /// # Panics
     ///
@@ -909,42 +920,82 @@ impl Engine {
         );
         self.ne_override.clear();
         for (k, cs) in state.cells.iter().enumerate() {
-            let mut mask = 0u8;
-            let mut representable = cs.ne_prev.len() <= 4;
-            if representable {
-                'encode: for &m in &cs.ne_prev {
-                    for s in 0..4 {
-                        if self.topo.nbr_idx[k][s] != NO_NBR && self.topo.nbr_id[k][s] == m {
-                            mask |= 1 << s;
-                            continue 'encode;
-                        }
-                    }
-                    representable = false;
-                    break;
-                }
-            }
-            if !representable {
-                self.ne_override.push((k as u32, cs.ne_prev.clone()));
-                mask = 0;
-            }
-            self.front[k] = CellCore {
-                dist: cs.dist,
-                next: cs.next,
-                token: cs.token,
-                signal: cs.signal,
-                ne_mask: mask,
-                failed: cs.failed,
-            };
-            let mem = &mut self.members[k];
-            mem.clear();
-            mem.extend(cs.members.iter().map(|(&e, &p)| (e, p)));
+            self.import_cell(k, cs);
         }
         self.next_entity_id = state.next_entity_id;
-        // Arbitrary registers may have been rewritten (fault injection goes
-        // through here): the next sparse round must recompute everything,
-        // and no cell is known to match the previous round.
+        // Arbitrary registers may have been rewritten: the next sparse
+        // round must recompute everything, and no cell is known to match
+        // the previous round.
         self.sched.mark_all = true;
         self.sched.changed_all = true;
+    }
+
+    /// Imports `cs` as the state of the cell at arena index `k` — a fault
+    /// edit (crash, recovery, corruption, a seeded entity) — and schedules
+    /// exactly what it can affect: `k` and its neighbors re-run `Route` and
+    /// `Signal` next round (the neighbors read `k`'s `dist`, `next` and
+    /// emptiness), and `k` joins the occupancy and pressure lists if it
+    /// holds members. Like [`Engine::load_state`], it makes
+    /// [`Engine::changed_cells`] `None` until the next step, whose set then
+    /// contains `k`. In dense mode, or while a full-set round is pending,
+    /// it only imports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of bounds.
+    pub fn load_cell(&mut self, k: usize, cs: &CellState) {
+        if !self.ne_override.is_empty() {
+            self.ne_override.retain(|(i, _)| *i != k as u32);
+        }
+        self.import_cell(k, cs);
+        self.sched.changed_all = true;
+        if self.mode == ExecMode::Dense || self.sched.mark_all {
+            return;
+        }
+        let nbrs = self.topo.nbr_idx[k];
+        for i in std::iter::once(k as u32).chain(nbrs) {
+            if i != NO_NBR {
+                self.mark_inputs_changed(i);
+            }
+        }
+        if !self.members[k].is_empty() {
+            note_occupied(&mut self.sched, &self.topo, k as u32, &mut self.alloc_events);
+        }
+    }
+
+    /// Writes `cs` into cell `k`'s registers and member arena, encoding
+    /// `ne_prev` as a neighbor mask or, when no mask can express it, as an
+    /// `ne_override` entry (the caller drops any stale one).
+    fn import_cell(&mut self, k: usize, cs: &CellState) {
+        let mut mask = 0u8;
+        let mut representable = cs.ne_prev.len() <= 4;
+        if representable {
+            'encode: for &m in &cs.ne_prev {
+                for s in 0..4 {
+                    if self.topo.nbr_idx[k][s] != NO_NBR && self.topo.nbr_id[k][s] == m {
+                        mask |= 1 << s;
+                        continue 'encode;
+                    }
+                }
+                representable = false;
+                break;
+            }
+        }
+        if !representable {
+            self.ne_override.push((k as u32, cs.ne_prev.clone()));
+            mask = 0;
+        }
+        self.front[k] = CellCore {
+            dist: cs.dist,
+            next: cs.next,
+            token: cs.token,
+            signal: cs.signal,
+            ne_mask: mask,
+            failed: cs.failed,
+        };
+        let mem = &mut self.members[k];
+        mem.clear();
+        mem.extend(cs.members.iter().map(|(&e, &p)| (e, p)));
     }
 
     /// Exports the arenas into `state` in place, reusing its allocations:
@@ -1033,7 +1084,8 @@ impl Engine {
     ///
     /// `None` when any cell may have changed: after a dense round, the
     /// full-set round that follows construction, [`Engine::load_state`] or
-    /// a mode switch, and from a `load_state` until the next step.
+    /// a mode switch, and from an import ([`Engine::load_state`] or
+    /// [`Engine::load_cell`]) until the next step.
     pub fn changed_cells(&self) -> Option<&[u32]> {
         (!self.sched.changed_all).then_some(self.sched.touch.list.as_slice())
     }
@@ -1637,6 +1689,8 @@ fn elapsed_ns(t0: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::{update, Params, System};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn config() -> SystemConfig {
         SystemConfig::new(
@@ -2103,11 +2157,17 @@ mod tests {
             sys.set_link_cuts(schedule.mask_row(round));
             sys.step();
         }
-        // fail() forces a load_state on the next step; the cuts must persist.
-        sys.fail(CellId::new(6, 6));
+        // Neither a whole-state import nor a per-cell one drops the cuts.
+        let state = sys.state().clone();
+        sys.set_state(state);
         let events = sys.step();
         for t in &events.transfers {
             assert_eq!(t.from.i() < 4, t.to.i() < 4, "cut lost across load_state");
+        }
+        sys.fail(CellId::new(6, 6));
+        let events = sys.step();
+        for t in &events.transfers {
+            assert_eq!(t.from.i() < 4, t.to.i() < 4, "cut lost across load_cell");
         }
         // Clearing the cuts makes the system behave exactly like the
         // reference semantics again.
@@ -2120,5 +2180,126 @@ mod tests {
             state = next;
             assert_eq!(sys.state(), &state, "diverged after clear at step {step}");
         }
+    }
+
+    /// Applies one random fault edit to cell `k` of `state`: a crash, a
+    /// recovery, both, a corruption of any kind, or a seeded entity.
+    fn random_edit(cfg: &SystemConfig, state: &mut SystemState, k: usize, rng: &mut SmallRng) {
+        use crate::fault::Corruption;
+        let dims = cfg.dims();
+        let id = dims.id_at(k);
+        let dir = |rng: &mut SmallRng| match rng.gen_range(0..5usize) {
+            0 => None,
+            d => Some(Dir::ALL[d - 1]),
+        };
+        let corruption = match rng.gen_range(0..11u32) {
+            0 => return state.fail(dims, id),
+            1 => return state.recover(dims, id, cfg.target()),
+            2 => {
+                state.fail(dims, id);
+                return state.recover(dims, id, cfg.target());
+            }
+            3 => {
+                let pos = id.center();
+                let params = cfg.params();
+                let cell = &mut state.cells[k];
+                if cell.members.values().all(|&q| sep_ok(pos, q, params.d())) {
+                    cell.members.insert(EntityId(state.next_entity_id), pos);
+                    state.next_entity_id += 1;
+                }
+                return;
+            }
+            4 => Corruption::Dist(Dist::Finite(rng.gen_range(0..cfg.dist_cap()))),
+            5 => Corruption::Next(dir(rng)),
+            6 => Corruption::Token(dir(rng)),
+            7 => Corruption::Signal(dir(rng)),
+            8 => Corruption::NePrev {
+                mask: rng.gen_range(0..16u32) as u8,
+            },
+            9 => Corruption::Jostle { salt: rng.gen() },
+            _ => Corruption::Scramble { salt: rng.gen() },
+        };
+        corruption.apply(cfg, id, &mut state.cells[k]);
+    }
+
+    #[test]
+    fn per_cell_imports_match_whole_state_imports() {
+        let cfg = config();
+        let dims = cfg.dims();
+        let n = dims.cell_count();
+        let mut per_cell = Engine::new(cfg.clone());
+        let mut whole = Engine::new(cfg.clone());
+        let mut dense = Engine::new(cfg.clone());
+        dense.set_exec_mode(ExecMode::Dense);
+        let mut state = cfg.initial_state();
+        let mut rng = SmallRng::seed_from_u64(0x1CE11);
+        let mut k = 0;
+        for round in 0..600u64 {
+            let before = state.clone();
+            // Quiet rounds between bursts of up to three edits, which hit
+            // the same cell again a third of the time.
+            let edits = if round % 5 == 4 {
+                0
+            } else {
+                rng.gen_range(0..4)
+            };
+            for _ in 0..edits {
+                if rng.gen_range(0..3) > 0 {
+                    k = rng.gen_range(0..n);
+                }
+                random_edit(&cfg, &mut state, k, &mut rng);
+                per_cell.load_cell(k, &state.cells[k]);
+                per_cell.set_next_entity_id(state.next_entity_id);
+            }
+            if edits > 0 {
+                whole.load_state(&state);
+                dense.load_state(&state);
+            }
+            let events = per_cell.step().clone();
+            assert_eq!(&events, whole.step(), "events diverged at round {round}");
+            assert_eq!(
+                &events,
+                dense.step(),
+                "dense events diverged at round {round}"
+            );
+            state = per_cell.export_state();
+            assert_eq!(
+                state,
+                whole.export_state(),
+                "state diverged at round {round}"
+            );
+            assert_eq!(
+                state,
+                dense.export_state(),
+                "dense state diverged at round {round}"
+            );
+            for id in dims.iter() {
+                assert_eq!(
+                    per_cell.pressure(id),
+                    whole.pressure(id),
+                    "pressure at {id}"
+                );
+                assert_eq!(
+                    per_cell.pressure(id),
+                    dense.pressure(id),
+                    "pressure at {id}"
+                );
+            }
+            if round > 0 {
+                let changed = per_cell
+                    .changed_cells()
+                    .unwrap_or_else(|| panic!("round {round} left the changed-set path"));
+                for (c, (a, b)) in before.cells.iter().zip(&state.cells).enumerate() {
+                    assert!(
+                        a == b || changed.binary_search(&(c as u32)).is_ok(),
+                        "cell {c} changed unreported at round {round}"
+                    );
+                }
+            }
+        }
+        assert!(
+            state.cells.iter().any(|c| c.failed),
+            "the schedule crashed cells"
+        );
     }
 }

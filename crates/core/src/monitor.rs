@@ -33,9 +33,9 @@
 //! same violations, in the same order.
 
 use core::fmt;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
-use cellflow_grid::{CellId, Distances};
+use cellflow_grid::{path_distances_flat, CellId, Distances};
 use cellflow_routing::Dist;
 
 use crate::{analysis, safety, SystemConfig, SystemState};
@@ -421,7 +421,8 @@ pub fn stabilization_bound(config: &SystemConfig) -> u64 {
 ///
 /// The verdict is kept as a count of unstable cells under a cached `ρ`,
 /// re-judged per cell with the clause `routing_stabilized` folds over the
-/// grid; `ρ` is recomputed only when a `failed` flag flips.
+/// grid. When a `failed` flag flips, `ρ` is recomputed in place and only
+/// the cells it can move a verdict for are re-judged.
 #[derive(Debug)]
 pub struct StabilizationMonitor {
     bound: u64,
@@ -438,6 +439,11 @@ pub struct StabilizationMonitor {
 struct Stability {
     /// `ρ` for the `failed` flags in `failed`; `None` before the first round.
     rho: Option<Distances>,
+    /// The `ρ` before the last recomputation, whose buffer the next one
+    /// reuses.
+    prev_rho: Option<Distances>,
+    /// The breadth-first search queue, reused.
+    queue: VecDeque<usize>,
     /// Each cell's `failed` flag as of the last observed round.
     failed: Vec<bool>,
     /// Each cell's verdict: `true` while it is not stable.
@@ -447,9 +453,11 @@ struct Stability {
 }
 
 impl Stability {
-    /// Re-judges the cells that may have changed (all of them after a
-    /// `failed` flip, since `ρ` moves with it) and returns whether routing
-    /// is stabilized.
+    /// Re-judges the cells whose verdict may have changed and returns
+    /// whether routing is stabilized. A cell's verdict reads its own
+    /// registers, its own `ρ` and its neighbors' `ρ`, so after a `failed`
+    /// flip that means the changed cells, the cells whose `ρ` moved, and
+    /// their neighbors; a full scan re-judges every cell.
     fn refresh(&mut self, ctx: &MonitorCtx<'_>) -> bool {
         let n = ctx.state.cells.len();
         if self.unstable.len() != n {
@@ -459,32 +467,55 @@ impl Stability {
                 ..Stability::default()
             };
         }
-        let mut scope = scope(ctx, &mut self.last_round);
+        // `scope` is `None` on the first round, as `rho` is.
+        let scope = scope(ctx, &mut self.last_round);
         let mut flipped = false;
         for_each_cell(scope, n, |k| {
             let failed = ctx.state.cells[k].failed;
             flipped |= failed != self.failed[k];
             self.failed[k] = failed;
         });
-        if flipped || self.rho.is_none() {
-            self.rho = Some(analysis::rho(ctx.config, ctx.state));
-            scope = None;
-        }
-        let rho = self.rho.as_ref().expect("ρ was just computed");
-        let dims = ctx.config.dims();
-        for_each_cell(scope, n, |k| {
-            let stable =
-                analysis::cell_stabilized(ctx.config, rho, dims.id_at(k), &ctx.state.cells[k]);
-            if self.unstable[k] == stable {
-                self.unstable[k] = !stable;
-                if stable {
-                    self.unstable_count -= 1;
-                } else {
-                    self.unstable_count += 1;
+        let (dims, target) = (ctx.config.dims(), ctx.config.target());
+        let mut rho = match self.rho.take() {
+            Some(rho) => rho,
+            None => {
+                flipped = false;
+                path_distances_flat(dims, target, &self.failed)
+            }
+        };
+        if flipped {
+            let mut fresh = self.prev_rho.take().unwrap_or_else(|| rho.clone());
+            fresh.recompute(target, &self.failed, &mut self.queue);
+            let old = std::mem::replace(&mut rho, fresh);
+            if scope.is_some() {
+                for (k, (was, now)) in old.by_index().iter().zip(rho.by_index()).enumerate() {
+                    if was != now {
+                        self.judge(ctx, &rho, k);
+                        for m in dims.neighbors(dims.id_at(k)) {
+                            self.judge(ctx, &rho, dims.index(m));
+                        }
+                    }
                 }
             }
-        });
+            self.prev_rho = Some(old);
+        }
+        for_each_cell(scope, n, |k| self.judge(ctx, &rho, k));
+        self.rho = Some(rho);
         self.unstable_count == 0
+    }
+
+    /// Re-judges cell `k` under `rho`, keeping the unstable count.
+    fn judge(&mut self, ctx: &MonitorCtx<'_>, rho: &Distances, k: usize) {
+        let id = ctx.config.dims().id_at(k);
+        let stable = analysis::cell_stabilized(ctx.config, rho, id, &ctx.state.cells[k]);
+        if self.unstable[k] == stable {
+            self.unstable[k] = !stable;
+            if stable {
+                self.unstable_count -= 1;
+            } else {
+                self.unstable_count += 1;
+            }
+        }
     }
 }
 
@@ -796,8 +827,15 @@ pub fn component_map(
 /// failure-obliviousness under link faults, not just cell crashes.
 pub struct ReachabilityMonitor {
     schedule: crate::PartitionSchedule,
-    /// Entity → cell of the previous observed round.
-    prev: std::collections::HashMap<crate::EntityId, CellId>,
+    /// Each cell's entities as of the previous observed round, ascending.
+    prev: Vec<Vec<crate::EntityId>>,
+    /// Each cell's `failed` flag as of the previous observed round.
+    failed: Vec<bool>,
+    /// The mask row the component count was taken under.
+    mask: Vec<u8>,
+    /// Live components under `mask` and `failed`.
+    components: u32,
+    last_round: Option<u64>,
     rounds: u64,
     episode_rounds: u64,
     max_components: u32,
@@ -816,9 +854,14 @@ impl ReachabilityMonitor {
             config.dims(),
             "partition schedule and system must share a grid"
         );
+        let n = config.dims().cell_count();
         ReachabilityMonitor {
             schedule,
-            prev: std::collections::HashMap::new(),
+            prev: vec![Vec::new(); n],
+            failed: vec![false; n],
+            mask: Vec::new(),
+            components: 0,
+            last_round: None,
             rounds: 0,
             episode_rounds: 0,
             max_components: 0,
@@ -851,9 +894,22 @@ impl Monitor for ReachabilityMonitor {
         let active = self.schedule.active(mask_round);
         let mut out = Vec::new();
 
-        let comp = component_map(ctx.config, ctx.state, mask);
-        let components = comp.iter().flatten().copied().max().map_or(0, |m| m + 1);
-        self.max_components = self.max_components.max(components);
+        // Components move only with the mask row or a `failed` flag; the
+        // first round's row differs from the empty one kept.
+        let scope = scope(ctx, &mut self.last_round);
+        let mut flipped = false;
+        for_each_cell(scope, ctx.state.cells.len(), |k| {
+            let failed = ctx.state.cells[k].failed;
+            flipped |= failed != self.failed[k];
+            self.failed[k] = failed;
+        });
+        if flipped || self.mask != mask {
+            let comp = component_map(ctx.config, ctx.state, mask);
+            self.components = comp.iter().flatten().copied().max().map_or(0, |m| m + 1);
+            self.mask.clear();
+            self.mask.extend_from_slice(mask);
+        }
+        self.max_components = self.max_components.max(self.components);
 
         if active {
             self.episode_rounds += 1;
@@ -869,30 +925,34 @@ impl Monitor for ReachabilityMonitor {
         // No entity may have crossed an edge whose *grant* direction is cut:
         // a mover must hear its next cell's grant that same round (the
         // request side is weaker — a standing token issued before the cut
-        // may keep granting, which both executions honor).
-        for (k, cell) in ctx.state.cells.iter().enumerate() {
+        // may keep granting, which both executions honor). An entity that
+        // moved sits on a changed cell and came from a neighbor, so the
+        // changed cells and their neighbors' previous entities decide it.
+        for_each_cell(scope, ctx.state.cells.len(), |k| {
             let here = dims.id_at(k);
-            for &eid in cell.members.keys() {
-                if let Some(&from) = self.prev.get(&eid) {
-                    if from != here && self.schedule.is_cut(mask_round, here, from) {
+            for &eid in ctx.state.cells[k].members.keys() {
+                if self.prev[k].binary_search(&eid).is_ok() {
+                    continue;
+                }
+                let from = dims
+                    .neighbors(here)
+                    .find(|&m| self.prev[dims.index(m)].binary_search(&eid).is_ok());
+                if let Some(from) = from {
+                    if self.schedule.is_cut(mask_round, here, from) {
                         out.push(MonitorViolation {
                             monitor: self.name(),
                             round: ctx.round,
-                            detail: format!(
-                                "entity {eid:?} crossed the cut edge {from} → {here}"
-                            ),
+                            detail: format!("entity {eid:?} crossed the cut edge {from} → {here}"),
                         });
                     }
                 }
             }
-        }
-        self.prev.clear();
-        for (k, cell) in ctx.state.cells.iter().enumerate() {
-            let here = dims.id_at(k);
-            for &eid in cell.members.keys() {
-                self.prev.insert(eid, here);
-            }
-        }
+        });
+        for_each_cell(scope, ctx.state.cells.len(), |k| {
+            let prev = &mut self.prev[k];
+            prev.clear();
+            prev.extend(ctx.state.cells[k].members.keys().copied());
+        });
         self.violations += out.len() as u64;
         out
     }

@@ -353,18 +353,18 @@ impl SystemState {
 ///
 /// Rounds execute on the arena-backed [`Engine`]; a [`SystemState`] mirror is
 /// kept in sync after every step so monitors, safety checks and serialization
-/// keep their structured view of the state. Mutators (fault injection,
-/// [`System::set_state`], entity seeding) edit the mirror and mark the engine
-/// stale; the next step re-imports it. The engine's transition is proven
-/// equivalent to the pure [`update`](crate::update) composition by
+/// keep their structured view of the state. Mutators edit the mirror and
+/// import the edit into the engine at once: fault injection and entity
+/// seeding import the one cell they touched ([`Engine::load_cell`]), so the
+/// next round stays on the changed-set path; [`System::set_state`] imports
+/// the whole state ([`Engine::load_state`]). The engine's transition is
+/// proven equivalent to the pure [`update`](crate::update) composition by
 /// `tests/engine_differential.rs`.
 #[derive(Clone, Debug)]
 pub struct System {
     config: SystemConfig,
     state: SystemState,
     engine: Engine,
-    /// `false` whenever `state` was mutated behind the engine's back.
-    engine_synced: bool,
     round: u64,
     consumed_total: u64,
     inserted_total: u64,
@@ -379,7 +379,6 @@ impl System {
             config,
             state,
             engine,
-            engine_synced: true,
             round: 0,
             consumed_total: 0,
             inserted_total: 0,
@@ -396,15 +395,17 @@ impl System {
         &self.state
     }
 
-    /// Replaces the current state (fault injection / replay).
+    /// Replaces the current state (fault injection / replay). The next
+    /// round runs on full sets, and [`System::changed_cells`] is `None`
+    /// until the round after it.
     pub fn set_state(&mut self, state: SystemState) {
         assert_eq!(
             state.cells.len(),
             self.config.dims().cell_count(),
             "state size must match the grid"
         );
+        self.engine.load_state(&state);
         self.state = state;
-        self.engine_synced = false;
     }
 
     /// The state of cell `id`.
@@ -469,14 +470,9 @@ impl System {
     }
 
     /// Attaches a flight recorder to the underlying engine (see
-    /// [`Engine::attach_recorder`]). The engine is synced with the mirror
-    /// first so the opening keyframe is the state visible right now, at the
-    /// current round number.
+    /// [`Engine::attach_recorder`]): the opening keyframe is the state
+    /// visible right now, at the current round number.
     pub fn attach_recorder(&mut self, recorder: Box<crate::snapshot::Recorder>) {
-        if !self.engine_synced {
-            self.engine.load_state(&self.state);
-            self.engine_synced = true;
-        }
         self.engine.set_round(self.round);
         self.engine.attach_recorder(recorder);
     }
@@ -513,27 +509,20 @@ impl System {
 
     /// The cells the most recent [`System::step`] may have changed, as
     /// ascending arena indices ([`GridDims::index`] order) — a superset of
-    /// the cells whose state differs from the previous round's. `None` when
-    /// any cell may have: see [`Engine::changed_cells`], plus any edit to
-    /// the state since that step (fault injection, [`System::set_state`],
-    /// entity seeding). Monitors take it as [`MonitorCtx::changed`].
+    /// the cells whose state differs from the state before that step,
+    /// fault edits made ahead of it included. `None` when any cell may
+    /// have, as [`Engine::changed_cells`] says: after the round that
+    /// follows [`System::set_state`], and from any edit until the next
+    /// step. Monitors take it as [`MonitorCtx::changed`].
     ///
     /// [`MonitorCtx::changed`]: crate::MonitorCtx::changed
     pub fn changed_cells(&self) -> Option<&[u32]> {
-        if self.engine_synced {
-            self.engine.changed_cells()
-        } else {
-            None
-        }
+        self.engine.changed_cells()
     }
 
     /// Executes one `update` transition (one synchronous round) and returns
     /// what happened.
     pub fn step(&mut self) -> RoundEvents {
-        if !self.engine_synced {
-            self.engine.load_state(&self.state);
-            self.engine_synced = true;
-        }
         self.engine.set_round(self.round);
         let events = self.engine.step().clone();
         // The mirror holds the previous round's state, so writing back the
@@ -566,8 +555,6 @@ impl System {
     ///
     /// Panics if `masks.len()` differs from the number of cells.
     pub fn set_link_cuts(&mut self, masks: &[u8]) {
-        // Deliberately does not clear `engine_synced`: cuts live beside the
-        // protocol state and survive `load_state`.
         self.engine.set_link_cuts(masks);
     }
 
@@ -583,7 +570,7 @@ impl System {
     /// Panics if `id` is out of bounds.
     pub fn fail(&mut self, id: CellId) {
         self.state.fail(self.config.dims(), id);
-        self.engine_synced = false;
+        self.import_cell(id);
     }
 
     /// Recovers cell `id` (see [`SystemState::recover`]).
@@ -594,7 +581,7 @@ impl System {
     pub fn recover(&mut self, id: CellId) {
         let target = self.config.target();
         self.state.recover(self.config.dims(), id, target);
-        self.engine_synced = false;
+        self.import_cell(id);
     }
 
     /// Applies a transient state corruption to cell `id` (see
@@ -606,7 +593,13 @@ impl System {
     pub fn corrupt(&mut self, id: CellId, corruption: Corruption) {
         let cell = self.state.cell_mut(self.config.dims(), id);
         corruption.apply(&self.config, id, cell);
-        self.engine_synced = false;
+        self.import_cell(id);
+    }
+
+    /// Imports the mirror's cell `id` into the engine after an edit.
+    fn import_cell(&mut self, id: CellId) {
+        let k = self.config.dims().index(id);
+        self.engine.load_cell(k, &self.state.cells[k]);
     }
 
     /// Places an entity with a fresh identifier at `pos` on cell `id`,
@@ -634,7 +627,8 @@ impl System {
         let eid = EntityId(self.state.next_entity_id);
         self.state.next_entity_id += 1;
         self.state.cell_mut(dims, id).members.insert(eid, pos);
-        self.engine_synced = false;
+        self.engine.set_next_entity_id(self.state.next_entity_id);
+        self.import_cell(id);
         Ok(eid)
     }
 }
@@ -732,6 +726,89 @@ mod tests {
         assert_eq!(s.cell(cfg.dims(), cfg.target()).dist, Dist::Infinity);
         s.recover(cfg.dims(), cfg.target(), cfg.target());
         assert_eq!(s.cell(cfg.dims(), cfg.target()).dist, Dist::Finite(0));
+    }
+
+    #[test]
+    fn fault_edits_keep_the_next_round_on_the_changed_set() {
+        use crate::fault::Corruption;
+        use cellflow_geom::Dir;
+        let cfg = SystemConfig::new(
+            GridDims::square(6),
+            CellId::new(1, 5),
+            Params::from_milli(250, 50, 200).unwrap(),
+        )
+        .unwrap()
+        .with_source(CellId::new(1, 0))
+        .with_source(CellId::new(4, 0));
+        let mut sys = System::new(cfg);
+        sys.run(30);
+        let (cell, spot, target) = (CellId::new(1, 2), CellId::new(3, 3), CellId::new(1, 5));
+        let edits = [
+            "seed",
+            "jostle",
+            "fail",
+            "recover",
+            "fail target",
+            "recover target",
+            "dist",
+            "next",
+            "token",
+            "signal",
+            "ne_prev",
+            "scramble",
+            "fail and recover",
+        ];
+        for name in edits {
+            let before = sys.state().clone();
+            match name {
+                "seed" => {
+                    sys.seed_entity(spot, spot.center())
+                        .expect("room on the cell");
+                }
+                // One round in, the seeded entity is still on its cell.
+                "jostle" => sys.corrupt(spot, Corruption::Jostle { salt: 7 }),
+                "fail" => sys.fail(cell),
+                "recover" => sys.recover(cell),
+                "fail target" => sys.fail(target),
+                "recover target" => sys.recover(target),
+                "dist" => sys.corrupt(cell, Corruption::Dist(Dist::Finite(0))),
+                "next" => sys.corrupt(cell, Corruption::Next(Some(Dir::East))),
+                "token" => sys.corrupt(cell, Corruption::Token(Some(Dir::West))),
+                "signal" => sys.corrupt(cell, Corruption::Signal(Some(Dir::South))),
+                "ne_prev" => sys.corrupt(cell, Corruption::NePrev { mask: 0b1111 }),
+                "scramble" => sys.corrupt(cell, Corruption::Scramble { salt: 9 }),
+                _ => {
+                    sys.fail(cell);
+                    sys.recover(cell);
+                }
+            }
+            assert_eq!(
+                sys.changed_cells(),
+                None,
+                "{name}: nothing bounds an edit before its round"
+            );
+            sys.step();
+            let changed = sys
+                .changed_cells()
+                .unwrap_or_else(|| panic!("{name}: the round after the edit scanned in full"));
+            for (k, (a, b)) in before.cells.iter().zip(&sys.state().cells).enumerate() {
+                assert!(
+                    a == b || changed.binary_search(&(k as u32)).is_ok(),
+                    "{name}: cell {k} changed unreported"
+                );
+            }
+        }
+        // A whole-state import makes its round a full-set round.
+        let state = sys.state().clone();
+        sys.set_state(state);
+        sys.step();
+        assert_eq!(
+            sys.changed_cells(),
+            None,
+            "set_state's round is a full-set round"
+        );
+        sys.step();
+        assert!(sys.changed_cells().is_some());
     }
 
     #[test]

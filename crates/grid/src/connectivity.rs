@@ -54,6 +54,56 @@ impl Distances {
             .enumerate()
             .filter_map(move |(k, d)| d.map(|d| (self.dims.id_at(k), d)))
     }
+
+    /// Every cell's `ρ`, in [`GridDims::index`] order (`None` for `∞`).
+    pub fn by_index(&self) -> &[Option<u32>] {
+        &self.dist
+    }
+
+    /// Recomputes `ρ` in place for new `failed` flags, one per cell in
+    /// [`GridDims::index`] order, by breadth-first search from `target`.
+    /// Reuses this value's buffer and `queue`'s, so a caller that keeps
+    /// both allocates nothing once they have grown; the queue holds only
+    /// the search frontier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is out of bounds or `failed` does not hold one
+    /// flag per cell.
+    pub fn recompute(&mut self, target: CellId, failed: &[bool], queue: &mut VecDeque<usize>) {
+        let dims = self.dims;
+        assert!(
+            dims.contains(target),
+            "target {target} out of {dims} bounds"
+        );
+        assert_eq!(failed.len(), dims.cell_count(), "one failed flag per cell");
+        let (nx, ny) = (dims.nx() as usize, dims.ny() as usize);
+        self.dist.clear();
+        self.dist.resize(dims.cell_count(), None);
+        queue.clear();
+        let t = dims.index(target);
+        if failed[t] {
+            return;
+        }
+        self.dist[t] = Some(0);
+        queue.push_back(t);
+        while let Some(k) = queue.pop_front() {
+            let next_d = self.dist[k].expect("queued cells have distances") + 1;
+            let (i, j) = (k % nx, k / nx);
+            let nbrs = [
+                (i > 0).then(|| k - 1),
+                (i + 1 < nx).then(|| k + 1),
+                (j > 0).then(|| k - nx),
+                (j + 1 < ny).then(|| k + nx),
+            ];
+            for nk in nbrs.into_iter().flatten() {
+                if self.dist[nk].is_none() && !failed[nk] {
+                    self.dist[nk] = Some(next_d);
+                    queue.push_back(nk);
+                }
+            }
+        }
+    }
 }
 
 /// Computes the paper's path distance `ρ` from every cell to `target` through
@@ -80,26 +130,27 @@ impl Distances {
 /// assert_eq!(rho.get(CellId::new(1, 0)), None); // failed ⇒ ∞
 /// ```
 pub fn path_distances(dims: GridDims, target: CellId, failed: &HashSet<CellId>) -> Distances {
-    assert!(
-        dims.contains(target),
-        "target {target} out of {dims} bounds"
-    );
-    let mut dist = vec![None; dims.cell_count()];
-    if !failed.contains(&target) {
-        dist[dims.index(target)] = Some(0);
-        let mut queue = VecDeque::from([target]);
-        while let Some(cur) = queue.pop_front() {
-            let next_d = dist[dims.index(cur)].expect("queued cells have distances") + 1;
-            for nbr in dims.neighbors(cur) {
-                let slot = &mut dist[dims.index(nbr)];
-                if slot.is_none() && !failed.contains(&nbr) {
-                    *slot = Some(next_d);
-                    queue.push_back(nbr);
-                }
-            }
-        }
-    }
-    Distances { dims, dist }
+    let flags: Vec<bool> = (0..dims.cell_count())
+        .map(|k| failed.contains(&dims.id_at(k)))
+        .collect();
+    path_distances_flat(dims, target, &flags)
+}
+
+/// [`path_distances`] over per-cell `failed` flags in [`GridDims::index`]
+/// order instead of a set; see [`Distances::recompute`] to reuse the
+/// buffers across calls.
+///
+/// # Panics
+///
+/// Panics if `target` is out of bounds or `failed` does not hold one flag
+/// per cell.
+pub fn path_distances_flat(dims: GridDims, target: CellId, failed: &[bool]) -> Distances {
+    let mut rho = Distances {
+        dims,
+        dist: Vec::new(),
+    };
+    rho.recompute(target, failed, &mut VecDeque::new());
+    rho
 }
 
 /// The target-connected set `TC(x)`: all cells with finite path distance.
@@ -190,6 +241,28 @@ mod tests {
             vec![(id(0, 0), 2), (id(0, 1), 1), (id(1, 0), 1), (id(1, 1), 0)]
         );
         assert_eq!(rho.dims(), dims);
+    }
+
+    #[test]
+    fn recompute_matches_a_fresh_search() {
+        let dims = GridDims::new(4, 3);
+        let target = id(3, 2);
+        let mut failed = vec![false; dims.cell_count()];
+        let mut rho = path_distances_flat(dims, target, &failed);
+        let mut queue = VecDeque::new();
+        for wall in [
+            [id(2, 2), id(2, 1)],
+            [id(1, 0), id(1, 1)],
+            [id(3, 2), id(0, 0)],
+        ] {
+            for c in wall {
+                failed[dims.index(c)] = !failed[dims.index(c)];
+            }
+            rho.recompute(target, &failed, &mut queue);
+            let set: HashSet<CellId> = dims.iter().filter(|&c| failed[dims.index(c)]).collect();
+            assert_eq!(rho, path_distances(dims, target, &set));
+            assert_eq!(rho.by_index().len(), dims.cell_count());
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so an unbounded depth would let a
+/// hostile input overflow the stack; telemetry documents nest a few levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -43,11 +48,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the byte offset of the first problem.
+    /// Returns a message naming the byte offset of the first problem,
+    /// including arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -180,6 +187,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -217,12 +226,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Parses one array or object one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -434,6 +455,24 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(1_000_000);
+        let err = Json::parse(&arrays).unwrap_err();
+        assert!(
+            err.contains("nesting deeper than 128 levels at byte 128"),
+            "{err}"
+        );
+        let objects = "{\"a\":".repeat(1_000_000);
+        let err = Json::parse(&objects).unwrap_err();
+        assert!(err.contains("nesting deeper than 128 levels"), "{err}");
+        // Exactly the limit still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let over = format!("[{deepest}]");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -7,20 +7,24 @@
 //! from the previous round's, and that a monitor fed it reports exactly
 //! what a full scan reports. This suite checks both under random crash,
 //! recovery, corruption, partition and overload-cascade schedules, with
-//! planted violations that persist over quiet rounds:
+//! planted violations that persist over quiet rounds. The schedules are
+//! fault-dense — several edits per round early on, most rounds flipping a
+//! `failed` flag — and then quiet, so routing re-stabilizes:
 //!
-//! * the changed set covers every cell whose state changed;
+//! * fault rounds stay on the changed-set path, and the set covers every
+//!   cell whose state changed, fault edits included;
 //! * the sparse `System`'s mirror equals a dense-mode `System`'s;
 //! * suites fed the engine's set, or the exact diff, or nothing (`None`,
 //!   a full scan) report the same violations round for round and end on
 //!   the same summaries — also when attached mid-run or observing with
-//!   gaps;
+//!   gaps — and so do two partition `ReachabilityMonitor`s, one fed the
+//!   set and one nothing;
 //! * an engine-hooked recording is byte-identical to one that diffs every
 //!   cell.
 
 use cellular_flows::core::monitor::{
-    CapacityMonitor, ConservationMonitor, MonitorCtx, MonitorViolation, RoutingMonitor,
-    SafetyMonitor, StabilizationMonitor, StabilizationProbe,
+    CapacityMonitor, ConservationMonitor, MonitorCtx, MonitorViolation, ReachabilityMonitor,
+    RoutingMonitor, SafetyMonitor, StabilizationMonitor, StabilizationProbe,
 };
 use cellular_flows::core::snapshot::Recorder;
 use cellular_flows::core::{
@@ -70,10 +74,12 @@ enum Event {
     Corrupt(Corruption),
 }
 
+/// Crashes and recoveries take 6 of the 13 codes, so that most rounds of a
+/// dense schedule flip a `failed` flag.
 fn decode_event(kind: u8, salt: u64, dist_cap: u32) -> Event {
-    match kind % 9 {
-        0 => Event::Crash,
-        1 => Event::Recover,
+    match kind % 13 {
+        0 | 9 | 10 => Event::Crash,
+        1 | 11 | 12 => Event::Recover,
         2 => Event::Corrupt(Corruption::Dist(Dist::Finite(
             (salt % dist_cap as u64) as u32,
         ))),
@@ -188,9 +194,10 @@ proptest! {
         knobs in (0u8..3, proptest::bool::ANY, 0u64..30),
         split in (0u64..20, 1u16..5), // round 0 = no partition
         late in (1u64..40, 2u64..4),  // (attach round, observation stride)
+        // Fault-dense: up to 40 edits in rounds 1..16, then a quiet tail.
         schedule in proptest::collection::vec(
-            (1u64..60, (0u16..8, 0u16..8), 0u8..9, 0u64..u64::MAX),
-            0..12,
+            (1u64..16, (0u16..8, 0u16..8), 0u8..13, 0u64..u64::MAX),
+            8..40,
         ),
     ) {
         let (n, rounds) = shape;
@@ -226,6 +233,9 @@ proptest! {
         let mut late_fed: Option<Suite> = None;
         let mut strided_full = Suite::new(&cfg);
         let mut strided_fed = Suite::new(&cfg);
+        let mut reach = partition
+            .as_ref()
+            .map(|p| [ReachabilityMonitor::new(&cfg, p.clone()), ReachabilityMonitor::new(&cfg, p.clone())]);
         let mut observed = sparse.state().clone();
 
         for round in 0..rounds {
@@ -282,6 +292,11 @@ proptest! {
             let exact = diff_cells(&observed, sparse.state());
             observed.clone_from(sparse.state());
             let changed = sparse.changed_cells();
+            // Only `set_state` (the planted round) and the first round
+            // leave the changed-set path.
+            if round > 0 && round != plant_round {
+                prop_assert!(changed.is_some(), "round {} scanned in full", round);
+            }
             if let Some(set) = changed {
                 prop_assert!(set.windows(2).all(|w| w[0] < w[1]), "set not ascending at round {}", round);
                 for k in &exact {
@@ -311,6 +326,21 @@ proptest! {
             }
             prop_assert_eq!(&engine_fed.observe(&sparse, &r, changed), &want, "engine-fed verdicts at round {}", round);
             prop_assert_eq!(&exact_fed.observe(&sparse, &r, Some(&exact)), &want, "exact-fed verdicts at round {}", round);
+            if let Some([fed, full]) = reach.as_mut() {
+                let ctx = |changed| MonitorCtx {
+                    config: &cfg,
+                    state: sparse.state(),
+                    round: r.round,
+                    failed: r.failed,
+                    recovered: r.recovered,
+                    corrupted: r.corrupted,
+                    ambient_chaos: r.ambient_chaos,
+                    consumed_total: sparse.consumed_total(),
+                    inserted_total: sparse.inserted_total(),
+                    changed,
+                };
+                prop_assert_eq!(fed.observe(&ctx(changed)), full.observe(&ctx(None)), "reachability verdicts at round {}", round);
+            }
 
             if round == attach_round {
                 late_full = Some(Suite::new(&cfg));
@@ -330,6 +360,9 @@ proptest! {
         prop_assert_eq!(engine_fed.summaries(), full.summaries());
         prop_assert_eq!(exact_fed.summaries(), full.summaries());
         prop_assert_eq!(strided_fed.summaries(), strided_full.summaries());
+        if let Some([fed, full]) = &reach {
+            prop_assert_eq!(fed.summary(), full.summary());
+        }
         if let (Some(lf), Some(lc)) = (&late_full, &late_fed) {
             prop_assert_eq!(lc.summaries(), lf.summaries());
         }

@@ -1,9 +1,11 @@
 //! Property-based differential testing of the sparse active-set scheduler:
-//! random grids, token policies, crash/recover/corruption schedules,
-//! scripted partitions, and endogenous-overload campaigns driven
+//! random grids, token policies, fault-dense crash/recover/corruption
+//! schedules, scripted partitions, and endogenous-overload campaigns driven
 //! simultaneously through a dense `System` and a sparse one — asserting
 //! identical `SystemState`, identical `RoundEvents`, and identical monitor
-//! verdicts after every single round.
+//! verdicts after every single round, and that the sparse round after a
+//! fault edit still bounds its change with a set covering every changed
+//! cell.
 //!
 //! The dense engine is the reference (itself pinned to the pure phase
 //! composition by `engine_differential.rs`); the active-set scheduler is
@@ -39,11 +41,12 @@ fn decode_dir(code: u64) -> Option<Dir> {
 }
 
 /// Decodes `(kind, salt)` into a disturbance, covering every `Corruption`
-/// variant plus crash and recovery.
+/// variant plus crash and recovery, which take 6 of the 14 codes so that
+/// most rounds of a dense schedule flip a `failed` flag.
 fn decode_event(kind: u8, salt: u64, dist_cap: u32) -> Event {
-    match kind % 10 {
-        0 => Event::Crash,
-        1 => Event::Recover,
+    match kind % 14 {
+        0 | 10 | 11 => Event::Crash,
+        1 | 12 | 13 => Event::Recover,
         2 => Event::Corrupt(Corruption::Dist(Dist::Finite((salt % dist_cap as u64) as u32))),
         3 => Event::Corrupt(Corruption::Dist(Dist::Infinity)),
         4 => Event::Corrupt(Corruption::Next(decode_dir(salt))),
@@ -78,11 +81,12 @@ fn config(n: u16, policy_code: u8, extra_source: bool, capacity: Option<u32>) ->
     cfg
 }
 
-/// A random disturbance schedule: `(round, (i, j), kind, salt)` tuples.
+/// A fault-dense disturbance schedule: up to 40 `(round, (i, j), kind,
+/// salt)` tuples in rounds `1..rounds`, several per round.
 fn schedule_strategy(rounds: u64) -> impl Strategy<Value = Vec<(u64, (u16, u16), u8, u64)>> {
     proptest::collection::vec(
-        (1..rounds, (0u16..8, 0u16..8), 0u8..10, 0u64..u64::MAX),
-        0..12,
+        (1..rounds, (0u16..8, 0u16..8), 0u8..14, 0u64..u64::MAX),
+        8..40,
     )
 }
 
@@ -142,7 +146,7 @@ proptest! {
         shape in (3u16..=6, 10u64..=60),
         knobs in (0u8..3, proptest::bool::ANY, proptest::bool::ANY),
         split in (0u64..20, 1u16..5), // round 0 = run without a partition
-        schedule in schedule_strategy(60),
+        schedule in schedule_strategy(16),
     ) {
         let (n, rounds) = shape;
         let (policy_code, extra_source, overloaded) = knobs;
@@ -171,6 +175,7 @@ proptest! {
 
         let mut dense = Variant::new(&cfg, ExecMode::Dense);
         let mut sparse = Variant::new(&cfg, ExecMode::Sparse);
+        let mut before = sparse.system.state().clone();
 
         for round in 0..rounds {
             let mut corrupted: Vec<CellId> = Vec::new();
@@ -210,6 +215,15 @@ proptest! {
                 round, n, policy_code
             );
             prop_assert_eq!(&sparse_events, &dense_events, "sparse events diverged at round {}", round);
+            if round > 0 {
+                let Some(set) = sparse.system.changed_cells() else {
+                    return Err(TestCaseError::fail(format!("round {round} scanned in full")));
+                };
+                for (k, (a, b)) in before.cells.iter().zip(&sparse.system.state().cells).enumerate() {
+                    prop_assert!(a == b || set.binary_search(&(k as u32)).is_ok(), "cell {} changed unreported at round {}", k, round);
+                }
+            }
+            before.clone_from(sparse.system.state());
 
             for v in [&mut dense, &mut sparse] {
                 v.observe(&cfg, round, &corrupted);
