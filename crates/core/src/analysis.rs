@@ -8,19 +8,11 @@ use cellflow_routing::{route_update, Dist};
 
 use crate::{CellState, SystemConfig, SystemState};
 
-/// The set `F(x)` of currently failed cells.
-pub fn failed_set(config: &SystemConfig, state: &SystemState) -> HashSet<CellId> {
-    let dims = config.dims();
-    dims.iter()
-        .filter(|&id| state.cell(dims, id).failed)
-        .collect()
-}
-
 /// The paper's path distance `ρ(x, ⟨i,j⟩)`: hop distance to the target
 /// through non-faulty cells, `None` for `∞`.
 pub fn rho(config: &SystemConfig, state: &SystemState) -> connectivity::Distances {
     let failed: Vec<bool> = state.cells.iter().map(|c| c.failed).collect();
-    connectivity::path_distances_flat(config.dims(), config.target(), &failed)
+    connectivity::path_distances(config.dims(), config.target(), &failed)
 }
 
 /// The target-connected set `TC(x)`: cells with finite path distance.
@@ -128,7 +120,7 @@ mod tests {
         let connected = tc(sys.config(), sys.state());
         assert_eq!(connected.len(), 15);
         assert!(!connected.contains(&CellId::new(0, 0)));
-        assert_eq!(failed_set(sys.config(), sys.state()).len(), 1);
+        assert_eq!(rho(sys.config(), sys.state()).get(CellId::new(0, 0)), None);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 use core::fmt;
 use std::collections::{BTreeSet, VecDeque};
 
-use cellflow_grid::{path_distances_flat, CellId, Distances};
+use cellflow_grid::{path_distances, CellId, Distances};
 use cellflow_routing::Dist;
 
 use crate::{analysis, safety, SystemConfig, SystemState};
@@ -480,7 +480,7 @@ impl Stability {
             Some(rho) => rho,
             None => {
                 flipped = false;
-                path_distances_flat(dims, target, &self.failed)
+                path_distances(dims, target, &self.failed)
             }
         };
         if flipped {
@@ -827,15 +827,8 @@ pub fn component_map(
 /// failure-obliviousness under link faults, not just cell crashes.
 pub struct ReachabilityMonitor {
     schedule: crate::PartitionSchedule,
-    /// Each cell's entities as of the previous observed round, ascending.
-    prev: Vec<Vec<crate::EntityId>>,
-    /// Each cell's `failed` flag as of the previous observed round.
-    failed: Vec<bool>,
-    /// The mask row the component count was taken under.
-    mask: Vec<u8>,
-    /// Live components under `mask` and `failed`.
-    components: u32,
-    last_round: Option<u64>,
+    /// Entity → cell of the previous observed round.
+    prev: std::collections::HashMap<crate::EntityId, CellId>,
     rounds: u64,
     episode_rounds: u64,
     max_components: u32,
@@ -854,14 +847,9 @@ impl ReachabilityMonitor {
             config.dims(),
             "partition schedule and system must share a grid"
         );
-        let n = config.dims().cell_count();
         ReachabilityMonitor {
             schedule,
-            prev: vec![Vec::new(); n],
-            failed: vec![false; n],
-            mask: Vec::new(),
-            components: 0,
-            last_round: None,
+            prev: std::collections::HashMap::new(),
             rounds: 0,
             episode_rounds: 0,
             max_components: 0,
@@ -894,22 +882,9 @@ impl Monitor for ReachabilityMonitor {
         let active = self.schedule.active(mask_round);
         let mut out = Vec::new();
 
-        // Components move only with the mask row or a `failed` flag; the
-        // first round's row differs from the empty one kept.
-        let scope = scope(ctx, &mut self.last_round);
-        let mut flipped = false;
-        for_each_cell(scope, ctx.state.cells.len(), |k| {
-            let failed = ctx.state.cells[k].failed;
-            flipped |= failed != self.failed[k];
-            self.failed[k] = failed;
-        });
-        if flipped || self.mask != mask {
-            let comp = component_map(ctx.config, ctx.state, mask);
-            self.components = comp.iter().flatten().copied().max().map_or(0, |m| m + 1);
-            self.mask.clear();
-            self.mask.extend_from_slice(mask);
-        }
-        self.max_components = self.max_components.max(self.components);
+        let comp = component_map(ctx.config, ctx.state, mask);
+        let components = comp.iter().flatten().copied().max().map_or(0, |m| m + 1);
+        self.max_components = self.max_components.max(components);
 
         if active {
             self.episode_rounds += 1;
@@ -925,34 +900,30 @@ impl Monitor for ReachabilityMonitor {
         // No entity may have crossed an edge whose *grant* direction is cut:
         // a mover must hear its next cell's grant that same round (the
         // request side is weaker — a standing token issued before the cut
-        // may keep granting, which both executions honor). An entity that
-        // moved sits on a changed cell and came from a neighbor, so the
-        // changed cells and their neighbors' previous entities decide it.
-        for_each_cell(scope, ctx.state.cells.len(), |k| {
+        // may keep granting, which both executions honor).
+        for (k, cell) in ctx.state.cells.iter().enumerate() {
             let here = dims.id_at(k);
-            for &eid in ctx.state.cells[k].members.keys() {
-                if self.prev[k].binary_search(&eid).is_ok() {
-                    continue;
-                }
-                let from = dims
-                    .neighbors(here)
-                    .find(|&m| self.prev[dims.index(m)].binary_search(&eid).is_ok());
-                if let Some(from) = from {
-                    if self.schedule.is_cut(mask_round, here, from) {
+            for &eid in cell.members.keys() {
+                if let Some(&from) = self.prev.get(&eid) {
+                    if from != here && self.schedule.is_cut(mask_round, here, from) {
                         out.push(MonitorViolation {
                             monitor: self.name(),
                             round: ctx.round,
-                            detail: format!("entity {eid:?} crossed the cut edge {from} → {here}"),
+                            detail: format!(
+                                "entity {eid:?} crossed the cut edge {from} → {here}"
+                            ),
                         });
                     }
                 }
             }
-        });
-        for_each_cell(scope, ctx.state.cells.len(), |k| {
-            let prev = &mut self.prev[k];
-            prev.clear();
-            prev.extend(ctx.state.cells[k].members.keys().copied());
-        });
+        }
+        self.prev.clear();
+        for (k, cell) in ctx.state.cells.iter().enumerate() {
+            let here = dims.id_at(k);
+            for &eid in cell.members.keys() {
+                self.prev.insert(eid, here);
+            }
+        }
         self.violations += out.len() as u64;
         out
     }
@@ -1283,6 +1254,77 @@ mod tests {
         };
         m.observe(&disturbed);
         assert_eq!(probe.last_disturbance(), sys.round());
+    }
+
+    /// A neighbor that routes through a crashed cell turns unstable while
+    /// its own registers and `ρ` stay put: only re-judging the neighbors of
+    /// the cells whose `ρ` moved catches it. Each fault edit is observed
+    /// before the next step, with the edited cell as the changed set.
+    #[test]
+    fn stabilization_fed_fault_edits_matches_a_full_scan() {
+        /// Feeds `[fed, full]` one round, `changed` and `None`, asserts
+        /// they agree with each other and with `routing_stabilized`, and
+        /// returns that verdict. `edit` is the round's crashed cells if
+        /// `failed`, else its recovered cells.
+        fn observe(
+            [fed, full]: &mut [StabilizationMonitor; 2],
+            sys: &System,
+            round: u64,
+            (edit, failed): (&[CellId], bool),
+            changed: Option<&[u32]>,
+        ) -> bool {
+            let ctx = |changed| MonitorCtx {
+                config: sys.config(),
+                state: sys.state(),
+                round,
+                failed: if failed { edit } else { &[] },
+                recovered: if failed { &[] } else { edit },
+                corrupted: &[],
+                ambient_chaos: false,
+                consumed_total: sys.consumed_total(),
+                inserted_total: sys.inserted_total(),
+                changed,
+            };
+            fed.observe(&ctx(changed));
+            full.observe(&ctx(None));
+            let want = analysis::routing_stabilized(sys.config(), sys.state());
+            assert_eq!(full.stabilized_at().is_some(), want, "round {round}");
+            assert_eq!(fed.stabilized_at(), full.stabilized_at(), "round {round}");
+            want
+        }
+
+        let cfg = config();
+        let dims = cfg.dims();
+        let mut caught = 0;
+        for cell in dims.iter().filter(|&c| c != cfg.target()) {
+            let k = dims.index(cell) as u32;
+            let mut sys = System::new(cfg.clone());
+            sys.run(10);
+            let mut pair = [
+                StabilizationMonitor::new(&cfg),
+                StabilizationMonitor::new(&cfg),
+            ];
+            let mut round = sys.round();
+            observe(&mut pair, &sys, round, (&[], true), None);
+            for failed in [true, false] {
+                if failed {
+                    sys.fail(cell);
+                } else {
+                    sys.recover(cell);
+                }
+                round += 1;
+                if !observe(&mut pair, &sys, round, (&[cell], failed), Some(&[k])) {
+                    caught += 1;
+                }
+                for _ in 0..12 {
+                    sys.step();
+                    round += 1;
+                    observe(&mut pair, &sys, round, (&[], true), sys.changed_cells());
+                }
+            }
+        }
+        // Some crashes leave only such a neighbor unstable.
+        assert!(caught > 0);
     }
 
     #[test]

@@ -107,21 +107,26 @@ impl Distances {
 }
 
 /// Computes the paper's path distance `ρ` from every cell to `target` through
-/// non-faulty cells, by breadth-first search.
+/// non-faulty cells, by breadth-first search; see [`Distances::recompute`]
+/// to reuse the buffers across calls.
 ///
-/// `failed` is the set `F(x)` of crashed cells; they and anything they isolate
-/// get distance `None` (`∞`). A failed target yields all-`None`.
+/// `failed` holds one flag per cell in [`GridDims::index`] order, marking
+/// the set `F(x)` of crashed cells; they and anything they isolate get
+/// distance `None` (`∞`). A failed target yields all-`None`.
 ///
 /// # Panics
 ///
-/// Panics if `target` is out of bounds.
+/// Panics if `target` is out of bounds or `failed` does not hold one flag
+/// per cell.
 ///
 /// ```
 /// use cellflow_grid::{path_distances, CellId, GridDims};
-/// use std::collections::HashSet;
 ///
 /// let dims = GridDims::square(3);
-/// let failed: HashSet<_> = [CellId::new(1, 0), CellId::new(1, 1)].into();
+/// let mut failed = vec![false; dims.cell_count()];
+/// for c in [CellId::new(1, 0), CellId::new(1, 1)] {
+///     failed[dims.index(c)] = true;
+/// }
 /// let rho = path_distances(dims, CellId::new(0, 0), &failed);
 /// assert_eq!(rho.get(CellId::new(0, 0)), Some(0));
 /// // ⟨2,0⟩ must route around the failed column, over the top row:
@@ -129,22 +134,7 @@ impl Distances {
 /// assert_eq!(rho.get(CellId::new(2, 0)), Some(6));
 /// assert_eq!(rho.get(CellId::new(1, 0)), None); // failed ⇒ ∞
 /// ```
-pub fn path_distances(dims: GridDims, target: CellId, failed: &HashSet<CellId>) -> Distances {
-    let flags: Vec<bool> = (0..dims.cell_count())
-        .map(|k| failed.contains(&dims.id_at(k)))
-        .collect();
-    path_distances_flat(dims, target, &flags)
-}
-
-/// [`path_distances`] over per-cell `failed` flags in [`GridDims::index`]
-/// order instead of a set; see [`Distances::recompute`] to reuse the
-/// buffers across calls.
-///
-/// # Panics
-///
-/// Panics if `target` is out of bounds or `failed` does not hold one flag
-/// per cell.
-pub fn path_distances_flat(dims: GridDims, target: CellId, failed: &[bool]) -> Distances {
+pub fn path_distances(dims: GridDims, target: CellId, failed: &[bool]) -> Distances {
     let mut rho = Distances {
         dims,
         dist: Vec::new(),
@@ -153,21 +143,17 @@ pub fn path_distances_flat(dims: GridDims, target: CellId, failed: &[bool]) -> D
     rho
 }
 
-/// The target-connected set `TC(x)`: all cells with finite path distance.
+/// The target-connected set `TC(x)`: all cells with finite path distance,
+/// for `failed` flags as in [`path_distances`].
 ///
 /// ```
 /// use cellflow_grid::{target_connected, CellId, GridDims};
-/// use std::collections::HashSet;
 ///
 /// let dims = GridDims::square(2);
-/// let tc = target_connected(dims, CellId::new(0, 0), &HashSet::new());
+/// let tc = target_connected(dims, CellId::new(0, 0), &[false; 4]);
 /// assert_eq!(tc.len(), 4);
 /// ```
-pub fn target_connected(
-    dims: GridDims,
-    target: CellId,
-    failed: &HashSet<CellId>,
-) -> HashSet<CellId> {
+pub fn target_connected(dims: GridDims, target: CellId, failed: &[bool]) -> HashSet<CellId> {
     path_distances(dims, target, failed)
         .iter_connected()
         .map(|(c, _)| c)
@@ -182,11 +168,20 @@ mod tests {
         CellId::new(i, j)
     }
 
+    /// `failed` flags for `dims` with exactly `cells` set.
+    fn flags(dims: GridDims, cells: &[CellId]) -> Vec<bool> {
+        let mut failed = vec![false; dims.cell_count()];
+        for &c in cells {
+            failed[dims.index(c)] = true;
+        }
+        failed
+    }
+
     #[test]
     fn no_failures_is_manhattan() {
         let dims = GridDims::square(5);
         let target = id(2, 2);
-        let rho = path_distances(dims, target, &HashSet::new());
+        let rho = path_distances(dims, target, &flags(dims, &[]));
         for c in dims.iter() {
             assert_eq!(rho.get(c), Some(c.manhattan(target)), "cell {c}");
         }
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn failed_cells_are_infinite() {
         let dims = GridDims::square(3);
-        let failed: HashSet<_> = [id(1, 1)].into();
+        let failed = flags(dims, &[id(1, 1)]);
         let rho = path_distances(dims, id(0, 0), &failed);
         assert_eq!(rho.get(id(1, 1)), None);
         assert!(!rho.is_connected(id(1, 1)));
@@ -208,7 +203,7 @@ mod tests {
     fn wall_disconnects_region() {
         let dims = GridDims::square(3);
         // Vertical wall at column 1 separates column 2 from the target at 0,1.
-        let failed: HashSet<_> = [id(1, 0), id(1, 1), id(1, 2)].into();
+        let failed = flags(dims, &[id(1, 0), id(1, 1), id(1, 2)]);
         let rho = path_distances(dims, id(0, 1), &failed);
         for j in 0..3 {
             assert_eq!(rho.get(id(2, j)), None, "⟨2,{j}⟩ should be isolated");
@@ -221,7 +216,7 @@ mod tests {
     #[test]
     fn failed_target_disconnects_everything() {
         let dims = GridDims::square(2);
-        let failed: HashSet<_> = [id(0, 0)].into();
+        let failed = flags(dims, &[id(0, 0)]);
         let rho = path_distances(dims, id(0, 0), &failed);
         for c in dims.iter() {
             assert_eq!(rho.get(c), None);
@@ -233,7 +228,7 @@ mod tests {
     #[test]
     fn iter_connected_lists_pairs() {
         let dims = GridDims::square(2);
-        let rho = path_distances(dims, id(1, 1), &HashSet::new());
+        let rho = path_distances(dims, id(1, 1), &flags(dims, &[]));
         let mut pairs: Vec<_> = rho.iter_connected().collect();
         pairs.sort();
         assert_eq!(
@@ -248,7 +243,7 @@ mod tests {
         let dims = GridDims::new(4, 3);
         let target = id(3, 2);
         let mut failed = vec![false; dims.cell_count()];
-        let mut rho = path_distances_flat(dims, target, &failed);
+        let mut rho = path_distances(dims, target, &failed);
         let mut queue = VecDeque::new();
         for wall in [
             [id(2, 2), id(2, 1)],
@@ -259,8 +254,7 @@ mod tests {
                 failed[dims.index(c)] = !failed[dims.index(c)];
             }
             rho.recompute(target, &failed, &mut queue);
-            let set: HashSet<CellId> = dims.iter().filter(|&c| failed[dims.index(c)]).collect();
-            assert_eq!(rho, path_distances(dims, target, &set));
+            assert_eq!(rho, path_distances(dims, target, &failed));
             assert_eq!(rho.by_index().len(), dims.cell_count());
         }
     }
@@ -268,6 +262,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of")]
     fn out_of_bounds_target_panics() {
-        path_distances(GridDims::square(2), id(2, 2), &HashSet::new());
+        path_distances(GridDims::square(2), id(2, 2), &[false; 4]);
     }
 }

@@ -35,6 +35,6 @@ mod dims;
 mod path;
 
 pub use cell_id::CellId;
-pub use connectivity::{path_distances, path_distances_flat, target_connected, Distances};
+pub use connectivity::{path_distances, target_connected, Distances};
 pub use dims::GridDims;
 pub use path::{Path, PathError};

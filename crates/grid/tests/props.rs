@@ -13,6 +13,15 @@ fn dims_and_cell() -> impl Strategy<Value = (GridDims, CellId)> {
     dims().prop_flat_map(|d| (0..d.nx(), 0..d.ny()).prop_map(move |(i, j)| (d, CellId::new(i, j))))
 }
 
+/// `failed` flags for `d`, one per cell in index order, set on `failed`.
+fn flags<'a>(d: GridDims, failed: impl IntoIterator<Item = &'a CellId>) -> Vec<bool> {
+    let mut flags = vec![false; d.cell_count()];
+    for &c in failed {
+        flags[d.index(c)] = true;
+    }
+    flags
+}
+
 fn dims_cell_failures() -> impl Strategy<Value = (GridDims, CellId, HashSet<CellId>)> {
     dims_and_cell().prop_flat_map(|(d, t)| {
         proptest::collection::hash_set(
@@ -66,7 +75,7 @@ proptest! {
 
     #[test]
     fn path_distance_matches_manhattan_without_failures((d, t) in dims_and_cell()) {
-        let rho = path_distances(d, t, &HashSet::new());
+        let rho = path_distances(d, t, &flags(d, &[]));
         for c in d.iter() {
             prop_assert_eq!(rho.get(c), Some(c.manhattan(t)));
         }
@@ -75,7 +84,7 @@ proptest! {
     #[test]
     fn path_distance_is_lipschitz((d, t, failed) in dims_cell_failures()) {
         // Adjacent live cells differ by at most 1 in finite distance.
-        let rho = path_distances(d, t, &failed);
+        let rho = path_distances(d, t, &flags(d, &failed));
         for c in d.iter() {
             if let Some(dc) = rho.get(c) {
                 prop_assert!(!failed.contains(&c));
@@ -97,7 +106,7 @@ proptest! {
 
     #[test]
     fn failed_cells_never_connected((d, t, failed) in dims_cell_failures()) {
-        let rho = path_distances(d, t, &failed);
+        let rho = path_distances(d, t, &flags(d, &failed));
         for c in &failed {
             prop_assert_eq!(rho.get(*c), None);
         }
@@ -109,8 +118,7 @@ proptest! {
             let carved = p.carve_failures(d);
             prop_assert_eq!(carved.len() + p.len(), d.cell_count());
             // Routing restricted to the carved grid gives exactly the path cells.
-            let failed: HashSet<_> = carved.into_iter().collect();
-            let rho = path_distances(d, *p.target(), &failed);
+            let rho = path_distances(d, *p.target(), &flags(d, &carved));
             for (k, c) in p.iter().enumerate() {
                 prop_assert_eq!(rho.get(*c), Some((p.len() - 1 - k) as u32));
             }

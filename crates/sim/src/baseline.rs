@@ -16,8 +16,6 @@
 //! differences isolate the *cost of distribution* — the ablation reported in
 //! `EXPERIMENTS.md`.
 
-use std::collections::HashSet;
-
 use cellflow_core::{move_phase, safety, SystemConfig, SystemState};
 use cellflow_geom::Fixed;
 use cellflow_grid::{connectivity, CellId};
@@ -125,10 +123,7 @@ impl CentralizedBaseline {
     /// has the global failure map).
     fn install_routes(&mut self) {
         let dims = self.config.dims();
-        let failed: HashSet<CellId> = dims
-            .iter()
-            .filter(|&c| self.state.cell(dims, c).failed)
-            .collect();
+        let failed: Vec<bool> = self.state.cells.iter().map(|c| c.failed).collect();
         let rho = connectivity::path_distances(dims, self.config.target(), &failed);
         for id in dims.iter() {
             if self.state.cell(dims, id).failed {

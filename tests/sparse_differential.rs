@@ -81,13 +81,18 @@ fn config(n: u16, policy_code: u8, extra_source: bool, capacity: Option<u32>) ->
     cfg
 }
 
-/// A fault-dense disturbance schedule: up to 40 `(round, (i, j), kind,
-/// salt)` tuples in rounds `1..rounds`, several per round.
-fn schedule_strategy(rounds: u64) -> impl Strategy<Value = Vec<(u64, (u16, u16), u8, u64)>> {
-    proptest::collection::vec(
-        (1..rounds, (0u16..8, 0u16..8), 0u8..14, 0u64..u64::MAX),
-        8..40,
-    )
+/// A disturbance schedule of `(round, (i, j), kind, salt)` tuples: a
+/// fault-dense burst of up to 40 in rounds `1..16`, several per round,
+/// then up to 5 in rounds `16..60`, once routing has settled or a
+/// partition has healed. Rounds past the end of a run never fire.
+fn schedule_strategy() -> impl Strategy<Value = Vec<(u64, (u16, u16), u8, u64)>> {
+    let events = |rounds: std::ops::Range<u64>, count: std::ops::Range<usize>| {
+        proptest::collection::vec((rounds, (0u16..8, 0u16..8), 0u8..14, 0u64..u64::MAX), count)
+    };
+    (events(1..16, 0..40), events(16..60, 0..6)).prop_map(|(mut burst, tail)| {
+        burst.extend(tail);
+        burst
+    })
 }
 
 /// One execution variant under test, with its own monitor suite.
@@ -146,7 +151,7 @@ proptest! {
         shape in (3u16..=6, 10u64..=60),
         knobs in (0u8..3, proptest::bool::ANY, proptest::bool::ANY),
         split in (0u64..20, 1u16..5), // round 0 = run without a partition
-        schedule in schedule_strategy(16),
+        schedule in schedule_strategy(),
     ) {
         let (n, rounds) = shape;
         let (policy_code, extra_source, overloaded) = knobs;
