@@ -288,7 +288,7 @@ mod tests {
     use super::*;
     use crate::mega::MegaScenarioResult;
     use crate::perf::ScenarioResult;
-    use crate::recording_overhead::{RecordingOverheadResult, RecordingOverheadReport};
+    use crate::recording_overhead::{RecordingOverheadReport, RecordingOverheadResult};
     use crate::telemetry_overhead::OverheadResult;
     use crate::trace_overhead::TraceOverheadResult;
 
@@ -430,9 +430,7 @@ mod tests {
         // A quick mega run lacks the committed 1024² row; matching is by
         // name, so the extra committed scenario simply contributes no row.
         let mut base = healthy_baselines();
-        base.pr8 = baseline_doc(
-            "{\"name\": \"1024x1024\", \"speedup_sparse_vs_dense\": 400.0}",
-        );
+        base.pr8 = baseline_doc("{\"name\": \"1024x1024\", \"speedup_sparse_vs_dense\": 400.0}");
         let report = evaluate(&base, &fresh());
         assert!(report.passed());
         assert!(report.rows.iter().all(|r| r.baseline != "BENCH_PR8"));
@@ -440,10 +438,8 @@ mod tests {
 
     #[test]
     fn missing_baseline_files_error() {
-        let dir = std::env::temp_dir().join(format!(
-            "cellflow-check-missing-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cellflow-check-missing-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let err = load_baselines(&dir).unwrap_err();
         assert!(err.contains("BENCH_PR3.json"), "{err}");

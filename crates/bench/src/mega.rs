@@ -164,8 +164,7 @@ pub fn run(quick: bool) -> MegaReport {
             // representative of the long-run regime.
             let warmup = 2 * u64::from(n) + 64;
             let (dense, _) = time_mode(&config, ExecMode::Dense, warmup, rounds, reps);
-            let (sparse, active_cells) =
-                time_mode(&config, ExecMode::Sparse, warmup, rounds, reps);
+            let (sparse, active_cells) = time_mode(&config, ExecMode::Sparse, warmup, rounds, reps);
             MegaScenarioResult {
                 name: format!("{n}x{n}"),
                 n,
@@ -223,7 +222,11 @@ impl MegaReport {
             ));
             s.push_str(&format!("      \"active_cells\": {},\n", sc.active_cells));
             s.push_str(&format!("      \"occupancy\": {:.4}\n", sc.occupancy));
-            s.push_str(if k + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
+            s.push_str(if k + 1 < self.scenarios.len() {
+                "    },\n"
+            } else {
+                "    }\n"
+            });
         }
         s.push_str("  ]\n}\n");
         s
@@ -262,7 +265,10 @@ mod tests {
             Some("cellflow-bench-mega-v1")
         );
         assert_eq!(
-            parsed.get("scenarios").and_then(Json::as_arr).map(|a| a.len()),
+            parsed
+                .get("scenarios")
+                .and_then(Json::as_arr)
+                .map(|a| a.len()),
             Some(QUICK_GRID_SIZES.len())
         );
     }

@@ -145,7 +145,11 @@ pub fn run(quick: bool) -> PerfReport {
         .map(|&n| {
             let config = scenario_config(n);
             let peak_entities = check_semantics(&config, rounds.min(200));
-            let legacy = median((0..reps).map(|_| time_legacy(&config, warmup, rounds)).collect());
+            let legacy = median(
+                (0..reps)
+                    .map(|_| time_legacy(&config, warmup, rounds))
+                    .collect(),
+            );
             let mut alloc_events = 0u64;
             let engine = median(
                 (0..reps)
@@ -160,7 +164,11 @@ pub fn run(quick: bool) -> PerfReport {
                 alloc_events, 0,
                 "{n}x{n}: steady-state engine rounds allocated — the zero-clone claim is broken"
             );
-            let system = median((0..reps).map(|_| time_system(&config, warmup, rounds)).collect());
+            let system = median(
+                (0..reps)
+                    .map(|_| time_system(&config, warmup, rounds))
+                    .collect(),
+            );
             ScenarioResult {
                 name: format!("{n}x{n}"),
                 n,
@@ -219,7 +227,11 @@ impl PerfReport {
                 "      \"engine_steady_alloc_events\": {}\n",
                 sc.engine_steady_alloc_events
             ));
-            s.push_str(if k + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
+            s.push_str(if k + 1 < self.scenarios.len() {
+                "    },\n"
+            } else {
+                "    }\n"
+            });
         }
         s.push_str("  ]\n}\n");
         s

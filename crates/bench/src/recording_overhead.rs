@@ -166,9 +166,19 @@ impl RecordingOverheadReport {
                 "      \"recording_on_ns_per_round\": {},\n",
                 sc.recording_on_ns_per_round
             ));
-            s.push_str(&format!("      \"overhead_ratio\": {:.3},\n", sc.overhead_ratio));
-            s.push_str(&format!("      \"bytes_per_round\": {}\n", sc.bytes_per_round));
-            s.push_str(if k + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
+            s.push_str(&format!(
+                "      \"overhead_ratio\": {:.3},\n",
+                sc.overhead_ratio
+            ));
+            s.push_str(&format!(
+                "      \"bytes_per_round\": {}\n",
+                sc.bytes_per_round
+            ));
+            s.push_str(if k + 1 < self.scenarios.len() {
+                "    },\n"
+            } else {
+                "    }\n"
+            });
         }
         s.push_str("  ]\n}\n");
         s
@@ -198,7 +208,10 @@ mod tests {
             Some("cellflow-bench-recording-v1")
         );
         assert_eq!(
-            parsed.get("scenarios").and_then(Json::as_arr).map(|a| a.len()),
+            parsed
+                .get("scenarios")
+                .and_then(Json::as_arr)
+                .map(|a| a.len()),
             Some(GRID_SIZES.len())
         );
     }

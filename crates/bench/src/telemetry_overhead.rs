@@ -86,7 +86,12 @@ fn median(mut xs: Vec<u64>) -> u64 {
     xs[xs.len() / 2]
 }
 
-fn time_engine(config: &SystemConfig, timers: Option<PhaseTimers>, warmup: u64, rounds: u64) -> u64 {
+fn time_engine(
+    config: &SystemConfig,
+    timers: Option<PhaseTimers>,
+    warmup: u64,
+    rounds: u64,
+) -> u64 {
     let mut engine = Engine::new(config.clone());
     if let Some(t) = timers {
         engine.attach_phase_timers(t);
@@ -128,7 +133,12 @@ pub fn run(quick: bool) -> TelemetryOverheadReport {
             let on = median(
                 (0..reps)
                     .map(|_| {
-                        time_engine(&config, Some(PhaseTimers::register(&registry)), warmup, rounds)
+                        time_engine(
+                            &config,
+                            Some(PhaseTimers::register(&registry)),
+                            warmup,
+                            rounds,
+                        )
                     })
                     .collect(),
             );
@@ -196,8 +206,15 @@ impl TelemetryOverheadReport {
                 "      \"telemetry_on_ns_per_round\": {},\n",
                 sc.telemetry_on_ns_per_round
             ));
-            s.push_str(&format!("      \"overhead_ratio\": {:.3}\n", sc.overhead_ratio));
-            s.push_str(if k + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
+            s.push_str(&format!(
+                "      \"overhead_ratio\": {:.3}\n",
+                sc.overhead_ratio
+            ));
+            s.push_str(if k + 1 < self.scenarios.len() {
+                "    },\n"
+            } else {
+                "    }\n"
+            });
         }
         s.push_str("  ]\n}\n");
         s
@@ -227,7 +244,10 @@ mod tests {
             Some("cellflow-bench-telemetry-v1")
         );
         assert_eq!(
-            parsed.get("scenarios").and_then(Json::as_arr).map(|a| a.len()),
+            parsed
+                .get("scenarios")
+                .and_then(Json::as_arr)
+                .map(|a| a.len()),
             Some(GRID_SIZES.len() + 1)
         );
     }
@@ -255,7 +275,10 @@ mod tests {
                 .iter()
                 .map(|sc| {
                     (
-                        sc.get("name").and_then(Json::as_str).expect("name").to_string(),
+                        sc.get("name")
+                            .and_then(Json::as_str)
+                            .expect("name")
+                            .to_string(),
                         sc.get(key).and_then(Json::as_u64).expect("median"),
                     )
                 })

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use cellflow_core::{Params, SystemConfig};
 use cellflow_grid::{CellId, GridDims};
-use cellflow_sim::{Simulation, SimTelemetry};
+use cellflow_sim::{SimTelemetry, Simulation};
 use cellflow_telemetry::{EventLog, Registry, SharedBuffer, Tracer};
 
 use crate::perf::GRID_SIZES;
@@ -141,8 +141,15 @@ impl TraceOverheadReport {
                 "      \"trace_on_ns_per_round\": {},\n",
                 sc.trace_on_ns_per_round
             ));
-            s.push_str(&format!("      \"overhead_ratio\": {:.3}\n", sc.overhead_ratio));
-            s.push_str(if k + 1 < self.scenarios.len() { "    },\n" } else { "    }\n" });
+            s.push_str(&format!(
+                "      \"overhead_ratio\": {:.3}\n",
+                sc.overhead_ratio
+            ));
+            s.push_str(if k + 1 < self.scenarios.len() {
+                "    },\n"
+            } else {
+                "    }\n"
+            });
         }
         s.push_str("  ]\n}\n");
         s
@@ -171,7 +178,10 @@ mod tests {
             Some("cellflow-bench-trace-v1")
         );
         assert_eq!(
-            parsed.get("scenarios").and_then(Json::as_arr).map(|a| a.len()),
+            parsed
+                .get("scenarios")
+                .and_then(Json::as_arr)
+                .map(|a| a.len()),
             Some(GRID_SIZES.len())
         );
     }

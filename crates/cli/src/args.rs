@@ -42,7 +42,11 @@ impl fmt::Display for FlagError {
             FlagError::Unused(keys) => {
                 let names: Vec<String> = keys.iter().map(|k| format!("--{k}")).collect();
                 let noun = if keys.len() == 1 { "flag" } else { "flags" };
-                write!(f, "unrecognized {noun} {} for this command", names.join(", "))
+                write!(
+                    f,
+                    "unrecognized {noun} {} for this command",
+                    names.join(", ")
+                )
             }
         }
     }
@@ -89,7 +93,11 @@ impl Flags {
     /// The last occurrence of `key`, recording that the command read it.
     fn lookup(&self, key: &str) -> Option<&Option<String>> {
         self.read.borrow_mut().insert(key.to_string());
-        self.given.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.given
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 
     /// A numeric or string value with a default.
@@ -183,7 +191,11 @@ mod tests {
             "unrecognized flags --roundz, --heatmapp for this command"
         );
         // Reading a flag, with either accessor, is what accepts it.
-        assert_eq!(f.get("roundz", 0u64).unwrap(), 9, "the last occurrence wins");
+        assert_eq!(
+            f.get("roundz", 0u64).unwrap(),
+            9,
+            "the last occurrence wins"
+        );
         assert!(f.has("heatmapp"));
         assert_eq!(f.reject_unused(), Ok(()));
         let f = Flags::parse(&argv("--seedz 1")).unwrap();

@@ -886,7 +886,10 @@ fn cascade(flags: &Flags) -> Result<(), String> {
     if net_report.supervisor.is_empty() {
         println!("supervisor:     no interventions");
     } else {
-        println!("supervisor:     {} interventions", net_report.supervisor.len());
+        println!(
+            "supervisor:     {} interventions",
+            net_report.supervisor.len()
+        );
         for d in &net_report.supervisor {
             println!("  {d:?}");
         }
@@ -991,7 +994,9 @@ impl From<HorizonOverflow> for String {
 
 /// `rounds + tail`, the rounds a campaign drives in total.
 pub(crate) fn horizon(rounds: u64, tail: u64) -> Result<u64, HorizonOverflow> {
-    rounds.checked_add(tail).ok_or(HorizonOverflow { rounds, tail })
+    rounds
+        .checked_add(tail)
+        .ok_or(HorizonOverflow { rounds, tail })
 }
 
 /// `⌊2x/3⌋`, exact for every `u64` (`2 * x` alone would overflow).
@@ -1099,7 +1104,9 @@ pub(crate) fn parse_partition_spec(
         "flaky" => {
             let milli: u32 = rest.parse().map_err(|_| usage())?;
             if milli > 1000 {
-                return Err(format!("flaky rate {milli} exceeds 1000 (parts per thousand)"));
+                return Err(format!(
+                    "flaky rate {milli} exceeds 1000 (parts per thousand)"
+                ));
             }
             Ok(plan.flaky_links(seed, milli, start, heal))
         }
@@ -1324,7 +1331,11 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
     println!("{}", cert.render());
     if !cert.holds() {
         let minimal = shrink(&config, &ops, &CertifyOptions::default());
-        println!("\nminimal counterexample ({} of {} corruptions):", minimal.len(), ops.len());
+        println!(
+            "\nminimal counterexample ({} of {} corruptions):",
+            minimal.len(),
+            ops.len()
+        );
         for op in &minimal {
             println!(
                 "  round {:>4}  cell ({},{})  {:?}",
@@ -1443,7 +1454,11 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
         report.consumed,
         report.state.entity_count()
     );
-    let _ = writeln!(block, "  last disturbance: round {}", probe.last_disturbance());
+    let _ = writeln!(
+        block,
+        "  last disturbance: round {}",
+        probe.last_disturbance()
+    );
     let restab = match probe.rounds_to_stabilize() {
         Some(r) => format!("after {r} rounds (bound {bound})"),
         None => "NEVER within the run".to_string(),
@@ -1453,10 +1468,8 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
     for v in &report.violations {
         let _ = writeln!(block, "    {v}");
     }
-    let net_holds = report.violations.is_empty()
-        && probe
-            .rounds_to_stabilize()
-            .is_some_and(|r| r <= bound);
+    let net_holds =
+        report.violations.is_empty() && probe.rounds_to_stabilize().is_some_and(|r| r <= bound);
     let _ = writeln!(
         block,
         "  verdict: {}",
@@ -1642,7 +1655,9 @@ fn inspect(args: &[String]) -> Result<(), String> {
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     if text.trim().is_empty() {
-        return Err(format!("{path}:1: empty file (expected a JSONL event stream or a Prometheus exposition)"));
+        return Err(format!(
+            "{path}:1: empty file (expected a JSONL event stream or a Prometheus exposition)"
+        ));
     }
 
     // Route by extension first — a schema-invalid JSONL line must be
@@ -1661,8 +1676,8 @@ fn inspect(args: &[String]) -> Result<(), String> {
             println!("  {kind:<15} {count}");
         }
         println!();
-        let timeline =
-            report::render_timeline(&text, rows).map_err(|(line, msg)| format!("{path}:{line}: {msg}"))?;
+        let timeline = report::render_timeline(&text, rows)
+            .map_err(|(line, msg)| format!("{path}:{line}: {msg}"))?;
         println!("{timeline}");
     } else {
         let stats =
@@ -1773,13 +1788,16 @@ fn bench(flags: &Flags) -> Result<(), String> {
             sc.name, sc.telemetry_off_ns_per_round, sc.telemetry_on_ns_per_round, sc.overhead_ratio
         );
     }
-    std::fs::write(&tel_out, overhead.to_json())
-        .map_err(|e| format!("writing {tel_out}: {e}"))?;
+    std::fs::write(&tel_out, overhead.to_json()).map_err(|e| format!("writing {tel_out}: {e}"))?;
     println!("wrote {tel_out}");
 
     eprintln!(
         "running {} mega-grid matrix (sparse vs dense)...",
-        if quick { "quick (128\u{b2} cap)" } else { "full (up to 1024\u{b2})" }
+        if quick {
+            "quick (128\u{b2} cap)"
+        } else {
+            "full (up to 1024\u{b2})"
+        }
     );
     let mega = cellflow_bench::mega::run(quick);
     println!(
@@ -1796,8 +1814,7 @@ fn bench(flags: &Flags) -> Result<(), String> {
             sc.occupancy * 100.0
         );
     }
-    std::fs::write(&mega_out, mega.to_json())
-        .map_err(|e| format!("writing {mega_out}: {e}"))?;
+    std::fs::write(&mega_out, mega.to_json()).map_err(|e| format!("writing {mega_out}: {e}"))?;
     println!("wrote {mega_out}");
 
     eprintln!("running causal-tracing overhead matrix...");
@@ -1812,8 +1829,7 @@ fn bench(flags: &Flags) -> Result<(), String> {
             sc.name, sc.trace_off_ns_per_round, sc.trace_on_ns_per_round, sc.overhead_ratio
         );
     }
-    std::fs::write(&trace_out, trace.to_json())
-        .map_err(|e| format!("writing {trace_out}: {e}"))?;
+    std::fs::write(&trace_out, trace.to_json()).map_err(|e| format!("writing {trace_out}: {e}"))?;
     println!("wrote {trace_out}");
 
     eprintln!("running flight-recording overhead matrix...");
@@ -1832,8 +1848,7 @@ fn bench(flags: &Flags) -> Result<(), String> {
             sc.bytes_per_round
         );
     }
-    std::fs::write(&rec_out, recording.to_json())
-        .map_err(|e| format!("writing {rec_out}: {e}"))?;
+    std::fs::write(&rec_out, recording.to_json()).map_err(|e| format!("writing {rec_out}: {e}"))?;
     println!("wrote {rec_out}");
     Ok(())
 }
@@ -1915,7 +1930,10 @@ mod tests {
     #[test]
     fn cascade_campaign_runs_in_every_mode() {
         assert!(dispatch(&argv("chaos --cascade --n 5 --rounds 120 --seed 2")).is_ok());
-        assert!(dispatch(&argv("chaos --cascade --n 5 --rounds 120 --seed 2 --backoff")).is_ok());
+        assert!(dispatch(&argv(
+            "chaos --cascade --n 5 --rounds 120 --seed 2 --backoff"
+        ))
+        .is_ok());
         assert!(dispatch(&argv(
             "chaos --cascade --n 5 --rounds 120 --seed 2 --restart 12 --budget 1"
         ))
@@ -1969,8 +1987,7 @@ mod tests {
 
     #[test]
     fn partition_without_heal_fails_certification() {
-        let err =
-            dispatch(&argv("chaos --n 5 --partition split@row=2 --no-heal")).unwrap_err();
+        let err = dispatch(&argv("chaos --n 5 --partition split@row=2 --no-heal")).unwrap_err();
         assert!(err.contains("FAILED"), "{err}");
     }
 
@@ -2073,7 +2090,10 @@ mod tests {
 
     #[test]
     fn stabilize_certifies_with_more_corruptions() {
-        assert!(dispatch(&argv("stabilize --n 4 --seed 7 --corruptions 5 --active 20")).is_ok());
+        assert!(dispatch(&argv(
+            "stabilize --n 4 --seed 7 --corruptions 5 --active 20"
+        ))
+        .is_ok());
     }
 
     #[test]
@@ -2092,10 +2112,8 @@ mod tests {
     struct Scratch(std::path::PathBuf);
     impl Scratch {
         fn new(tag: &str) -> Self {
-            let dir = std::env::temp_dir().join(format!(
-                "cellflow-cli-{tag}-{}",
-                std::process::id()
-            ));
+            let dir =
+                std::env::temp_dir().join(format!("cellflow-cli-{tag}-{}", std::process::id()));
             std::fs::create_dir_all(&dir).expect("scratch dir");
             Scratch(dir)
         }
@@ -2317,7 +2335,10 @@ mod tests {
         for cmd in ["inspect", "replay"] {
             let err = dispatch(&argv(&format!("{cmd} {rec}"))).unwrap_err();
             assert!(err.contains(&format!("{rec}:")), "{cmd}: {err}");
-            assert!(err.contains("corrupt") || err.contains("checksum"), "{cmd}: {err}");
+            assert!(
+                err.contains("corrupt") || err.contains("checksum"),
+                "{cmd}: {err}"
+            );
         }
         // Truncation is caught too, with the offset of the torn frame.
         bytes[mid] ^= 0xff;

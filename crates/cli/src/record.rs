@@ -15,9 +15,7 @@
 use std::collections::BTreeMap;
 
 use cellflow_core::monitor::stabilization_bound;
-use cellflow_core::snapshot::{
-    self, diff_states, state_at, Recorder, RegisterDiff,
-};
+use cellflow_core::snapshot::{self, diff_states, state_at, Recorder, RegisterDiff};
 use cellflow_core::{CampaignSpec, FaultPlan, Params, SystemConfig};
 use cellflow_grid::{CellId, GridDims};
 use cellflow_sim::Simulation;
@@ -134,7 +132,13 @@ impl RecScenario {
     /// The canonical scenario line stored in the `.rec` header.
     pub fn render(&self) -> String {
         match self {
-            RecScenario::Plain { n, rounds, l, rs, v } => {
+            RecScenario::Plain {
+                n,
+                rounds,
+                l,
+                rs,
+                v,
+            } => {
                 format!("plain n={n} rounds={rounds} l={l} rs={rs} v={v}")
             }
             RecScenario::Cascade {
@@ -281,9 +285,11 @@ impl RecScenario {
                 return Err("scenario grid must be at least 3×3".into());
             }
             let params = Params::from_milli(250, 50, 200).expect("static parameters are valid");
-            Ok(SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
-                .map_err(|e| e.to_string())?
-                .with_source(CellId::new(1, 0)))
+            Ok(
+                SystemConfig::new(GridDims::square(n), CellId::new(1, n - 1), params)
+                    .map_err(|e| e.to_string())?
+                    .with_source(CellId::new(1, 0)),
+            )
         };
         match self {
             RecScenario::Plain { n, l, rs, v, .. } => {
@@ -393,8 +399,13 @@ impl RecScenario {
             } => {
                 use cellflow_sim::partition::{run_partition_recorded, PartitionScenario};
                 crate::commands::horizon(*rounds, *settle)?;
-                let plan =
-                    crate::commands::parse_partition_spec(spec, config.dims(), *start, *heal, seed)?;
+                let plan = crate::commands::parse_partition_spec(
+                    spec,
+                    config.dims(),
+                    *start,
+                    *heal,
+                    seed,
+                )?;
                 let scenario = PartitionScenario {
                     config,
                     plan,
@@ -420,9 +431,12 @@ impl RecScenario {
                 ..
             } => {
                 use cellflow_net::{ChaosConfig, NetSystem};
-                for (name, rate) in
-                    [("drop", drop), ("delay", delay), ("dup", dup), ("reorder", reorder)]
-                {
+                for (name, rate) in [
+                    ("drop", drop),
+                    ("delay", delay),
+                    ("dup", dup),
+                    ("reorder", reorder),
+                ] {
                     if !(0.0..=1.0).contains(rate) {
                         return Err(format!("chaos {name} rate {rate} is not a probability"));
                     }
@@ -823,7 +837,13 @@ fn write_divergence_dump(
             round,
             Event::Violation {
                 monitor: "divergence".to_string(),
-                detail: format!("{} at {}: {} ≠ {}", d.register, cell_label(d.cell), d.a, d.b),
+                detail: format!(
+                    "{} at {}: {} ≠ {}",
+                    d.register,
+                    cell_label(d.cell),
+                    d.a,
+                    d.b
+                ),
             },
         );
     }
@@ -870,8 +890,10 @@ fn two_paths<'a>(args: &'a [String], usage: &str) -> Result<(&'a str, &'a str, F
 /// differences at `--round` (default: the first divergent round). Exits
 /// nonzero when any register differs.
 pub fn diff(args: &[String]) -> Result<(), String> {
-    let (path_a, path_b, flags) =
-        two_paths(args, "diff needs two files: cellflow diff <a.rec> <b.rec> [--round R]")?;
+    let (path_a, path_b, flags) = two_paths(
+        args,
+        "diff needs two files: cellflow diff <a.rec> <b.rec> [--round R]",
+    )?;
     let round: u64 = flags.get("round", u64::MAX)?;
     flags.reject_unused()?;
     let (_, a) = load(path_a)?;
@@ -901,9 +923,15 @@ pub fn diff(args: &[String]) -> Result<(), String> {
         println!("identical at round {at}: every register agrees");
         return Ok(());
     }
-    println!("round {at}: {} register(s) differ (A = {path_a}, B = {path_b})\n", diffs.len());
+    println!(
+        "round {at}: {} register(s) differ (A = {path_a}, B = {path_b})\n",
+        diffs.len()
+    );
     print!("{}", render_diff_table(&diffs));
-    Err(format!("{} register difference(s) at round {at}", diffs.len()))
+    Err(format!(
+        "{} register difference(s) at round {at}",
+        diffs.len()
+    ))
 }
 
 /// `cellflow bisect A.rec B.rec`: seek the first divergent round via the
@@ -911,8 +939,10 @@ pub fn diff(args: &[String]) -> Result<(), String> {
 /// round, cell, and register, render the full register diff there, and
 /// dump the preceding rounds through the flight ring.
 pub fn bisect(args: &[String]) -> Result<(), String> {
-    let (path_a, path_b, flags) =
-        two_paths(args, "bisect needs two files: cellflow bisect <a.rec> <b.rec>")?;
+    let (path_a, path_b, flags) = two_paths(
+        args,
+        "bisect needs two files: cellflow bisect <a.rec> <b.rec>",
+    )?;
     flags.reject_unused()?;
     let (_, a) = load(path_a)?;
     let (_, b) = load(path_b)?;
@@ -977,7 +1007,13 @@ mod tests {
     #[test]
     fn scenario_lines_round_trip() {
         let scenarios = [
-            RecScenario::Plain { n: 6, rounds: 40, l: 250, rs: 50, v: 200 },
+            RecScenario::Plain {
+                n: 6,
+                rounds: 40,
+                l: 250,
+                rs: 50,
+                v: 200,
+            },
             RecScenario::Cascade {
                 n: 5,
                 rounds: 120,
@@ -1019,7 +1055,11 @@ mod tests {
                 hard: 1,
                 kills: 0,
             },
-            RecScenario::Stabilize { n: 4, corruptions: 3, active: 20 },
+            RecScenario::Stabilize {
+                n: 4,
+                corruptions: 3,
+                active: 20,
+            },
         ];
         for sc in scenarios {
             let line = sc.render();
@@ -1039,7 +1079,13 @@ mod tests {
 
     #[test]
     fn plain_drive_is_reproducible_and_parses() {
-        let sc = RecScenario::Plain { n: 4, rounds: 25, l: 250, rs: 50, v: 200 };
+        let sc = RecScenario::Plain {
+            n: 4,
+            rounds: 25,
+            l: 250,
+            rs: 50,
+            v: 200,
+        };
         let a = sc.drive(7, 8).expect("drive");
         let b = sc.drive(7, 8).expect("drive");
         assert_eq!(a, b, "same seed, same bytes");

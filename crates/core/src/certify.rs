@@ -144,8 +144,14 @@ pub use crate::hash::fnv1a;
 /// victims listed in [`MonitorCtx::corrupted`] (restarting the stabilization
 /// stopwatch and re-baselining conservation). The run lasts until
 /// [`CertifyOptions::settle`] rounds past the last corruption.
-pub fn certify(config: &SystemConfig, ops: &[CorruptionEvent], opts: &CertifyOptions) -> Certificate {
-    let bound = opts.bound_override.unwrap_or_else(|| stabilization_bound(config));
+pub fn certify(
+    config: &SystemConfig,
+    ops: &[CorruptionEvent],
+    opts: &CertifyOptions,
+) -> Certificate {
+    let bound = opts
+        .bound_override
+        .unwrap_or_else(|| stabilization_bound(config));
     let last_op = ops.iter().map(|o| o.round).max().unwrap_or(0);
     let total = last_op + opts.settle.unwrap_or(bound + 2);
     let mut sys = System::new(config.clone());
@@ -209,7 +215,10 @@ pub fn certify_batch(
     threads: usize,
 ) -> Vec<Certificate> {
     if threads <= 1 || campaigns.len() <= 1 {
-        return campaigns.iter().map(|ops| certify(config, ops, opts)).collect();
+        return campaigns
+            .iter()
+            .map(|ops| certify(config, ops, opts))
+            .collect();
     }
     let workers = threads.min(campaigns.len());
     let chunk = campaigns.len().div_ceil(workers);
@@ -418,7 +427,9 @@ pub fn certify_links(
     plan: &PartitionPlan,
     opts: &CertifyOptions,
 ) -> LinkCertificate {
-    let bound = opts.bound_override.unwrap_or_else(|| stabilization_bound(config));
+    let bound = opts
+        .bound_override
+        .unwrap_or_else(|| stabilization_bound(config));
     let heal = plan.heal_round();
     let onset = plan
         .faults()

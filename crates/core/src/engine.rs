@@ -959,7 +959,12 @@ impl Engine {
             }
         }
         if !self.members[k].is_empty() {
-            note_occupied(&mut self.sched, &self.topo, k as u32, &mut self.alloc_events);
+            note_occupied(
+                &mut self.sched,
+                &self.topo,
+                k as u32,
+                &mut self.alloc_events,
+            );
         }
     }
 
@@ -1057,7 +1062,11 @@ impl Engine {
         } else {
             let (cands, cn) = candidates_of(&self.topo, k, c.ne_mask);
             let unchanged = cs.ne_prev.len() == cn
-                && cs.ne_prev.iter().zip(cands[..cn].iter()).all(|(a, b)| a == b);
+                && cs
+                    .ne_prev
+                    .iter()
+                    .zip(cands[..cn].iter())
+                    .all(|(a, b)| a == b);
             if !unchanged {
                 cs.ne_prev.clear();
                 cs.ne_prev.extend(cands[..cn].iter().copied());
@@ -1288,7 +1297,11 @@ impl Engine {
             if c.failed || ku == topo.target_index {
                 continue;
             }
-            let cut = if link_cuts.is_empty() { 0 } else { link_cuts[ku] };
+            let cut = if link_cuts.is_empty() {
+                0
+            } else {
+                link_cuts[ku]
+            };
             let (dist, next) = route_core(topo, front, cut, cap, ku);
             if dist != c.dist || next != c.next {
                 push_tracked(route_upd, (k, dist, next), alloc_events);
@@ -1374,7 +1387,15 @@ impl Engine {
         };
         for &k in &sched.move_list {
             let ku = k as usize;
-            move_cell_into(config, topo, front, link_cuts, &mut members[ku], ku, &mut sink);
+            move_cell_into(
+                config,
+                topo,
+                front,
+                link_cuts,
+                &mut members[ku],
+                ku,
+                &mut sink,
+            );
         }
         // Cells that drained stop being requesters: their neighbors' masks
         // change next round.
@@ -1545,10 +1566,18 @@ impl Engine {
         let id = self.topo.ids[k];
         match (out.signal, out.token) {
             (Some(grantee), _) => {
-                push_tracked(&mut self.events.grants, (id, grantee), &mut self.alloc_events);
+                push_tracked(
+                    &mut self.events.grants,
+                    (id, grantee),
+                    &mut self.alloc_events,
+                );
             }
             (None, Some(holder)) => {
-                push_tracked(&mut self.events.blocked, (id, holder), &mut self.alloc_events);
+                push_tracked(
+                    &mut self.events.blocked,
+                    (id, holder),
+                    &mut self.alloc_events,
+                );
             }
             (None, None) => {}
         }
@@ -1621,7 +1650,12 @@ impl Engine {
             insert_member(&mut self.members[si], eid, pos, &mut self.alloc_events);
             push_tracked(&mut self.events.inserted, (s, eid), &mut self.alloc_events);
             if sparse && was_empty {
-                note_occupied(&mut self.sched, &self.topo, si as u32, &mut self.alloc_events);
+                note_occupied(
+                    &mut self.sched,
+                    &self.topo,
+                    si as u32,
+                    &mut self.alloc_events,
+                );
             }
         }
     }
@@ -1799,10 +1833,7 @@ mod tests {
         dense.enable_round_trace();
         dense.step();
         let t = dense.round_trace();
-        assert_eq!(
-            (t.route_cells, t.signal_cells, t.move_cells),
-            (64, 64, 64)
-        );
+        assert_eq!((t.route_cells, t.signal_cells, t.move_cells), (64, 64, 64));
         // And tracing must not break the zero-alloc steady state.
         engine.reset_alloc_events();
         for _ in 0..150 {
@@ -1829,8 +1860,7 @@ mod tests {
         sys.fail(CellId::new(3, 3));
         let mut state = sys.state().clone();
         // Junk ne_prev that no mask can express (contains a non-neighbor).
-        state
-            .cells[0]
+        state.cells[0]
             .ne_prev
             .extend([CellId::new(7, 7), CellId::new(1, 0)]);
         let mut engine = Engine::new(cfg);
@@ -2097,7 +2127,11 @@ mod tests {
         for _ in 0..100 {
             engine.step();
         }
-        assert_eq!(engine.alloc_events(), 0, "quiescent rounds must not allocate");
+        assert_eq!(
+            engine.alloc_events(),
+            0,
+            "quiescent rounds must not allocate"
+        );
     }
 
     #[test]

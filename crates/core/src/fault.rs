@@ -138,9 +138,7 @@ impl Corruption {
     ///   transient fault of this one.
     pub fn apply(&self, config: &SystemConfig, id: CellId, cell: &mut CellState) {
         let dims = config.dims();
-        let resolve = |dir: Option<Dir>| {
-            dir.and_then(|d| id.step(d)).filter(|&n| dims.contains(n))
-        };
+        let resolve = |dir: Option<Dir>| dir.and_then(|d| id.step(d)).filter(|&n| dims.contains(n));
         match *self {
             Corruption::Dist(d) => cell.dist = d,
             Corruption::Next(dir) => cell.next = resolve(dir),
@@ -205,8 +203,7 @@ fn jostle(config: &SystemConfig, id: CellId, cell: &mut CellState, salt: u64) {
     }
     let ids: Vec<crate::EntityId> = cell.members.keys().copied().collect();
     for eid in ids {
-        let mut rng =
-            SmallRng::seed_from_u64(salt ^ eid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut rng = SmallRng::seed_from_u64(salt ^ eid.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let dx = Fixed::from_raw(rng.gen_range(-amp..=amp));
         let dy = Fixed::from_raw(rng.gen_range(-amp..=amp));
         let old = cell.members[&eid];
@@ -311,8 +308,8 @@ impl FaultPlan {
         salt: u64,
     ) -> FaultPlan {
         for c in cells {
-            let cell_salt = salt ^ (((c.i() as u64) << 16 | c.j() as u64) + 1)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let cell_salt = salt
+                ^ (((c.i() as u64) << 16 | c.j() as u64) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             self.events.push(FaultEvent {
                 round,
                 cell: c,
@@ -362,20 +359,13 @@ impl FaultPlan {
     pub fn blackout(self, round: u64, a: CellId, b: CellId, outage: u64) -> FaultPlan {
         let (i0, i1) = (a.i().min(b.i()), a.i().max(b.i()));
         let (j0, j1) = (a.j().min(b.j()), a.j().max(b.j()));
-        let region =
-            (i0..=i1).flat_map(move |i| (j0..=j1).map(move |j| CellId::new(i, j)));
+        let region = (i0..=i1).flat_map(move |i| (j0..=j1).map(move |j| CellId::new(i, j)));
         self.burst(round, region, outage)
     }
 
     /// A flapping cell: starting at `start`, `cell` crashes and recovers
     /// `flips` times with `half_period` rounds between each transition.
-    pub fn flapping(
-        mut self,
-        cell: CellId,
-        start: u64,
-        half_period: u64,
-        flips: u32,
-    ) -> FaultPlan {
+    pub fn flapping(mut self, cell: CellId, start: u64, half_period: u64, flips: u32) -> FaultPlan {
         let step = half_period.max(1);
         for k in 0..flips as u64 {
             self.events.push(FaultEvent {
@@ -406,7 +396,10 @@ impl FaultPlan {
 
     /// The events firing at the start of `round`, in insertion order.
     pub fn events_at(&self, round: u64) -> impl Iterator<Item = FaultEvent> + '_ {
-        self.events.iter().copied().filter(move |e| e.round == round)
+        self.events
+            .iter()
+            .copied()
+            .filter(move |e| e.round == round)
     }
 
     /// The events affecting `cell` at the start of `round`.
@@ -629,7 +622,11 @@ impl FaultPlan {
             plan = plan.kill_at(rng.gen_range(0..horizon), cell);
         }
         // Flag faults over the remaining pool.
-        let flaggable: Vec<CellId> = pool.iter().copied().filter(|c| !taken.contains(c)).collect();
+        let flaggable: Vec<CellId> = pool
+            .iter()
+            .copied()
+            .filter(|c| !taken.contains(c))
+            .collect();
         if flaggable.is_empty() {
             return plan;
         }
@@ -872,8 +869,7 @@ impl PartitionPlan {
     pub fn island(mut self, a: CellId, b: CellId, start: u64, heal: Option<u64>) -> PartitionPlan {
         let (i0, i1) = (a.i().min(b.i()), a.i().max(b.i()));
         let (j0, j1) = (a.j().min(b.j()), a.j().max(b.j()));
-        let inside =
-            |c: CellId| c.i() >= i0 && c.i() <= i1 && c.j() >= j0 && c.j() <= j1;
+        let inside = |c: CellId| c.i() >= i0 && c.i() <= i1 && c.j() >= j0 && c.j() <= j1;
         for i in i0..=i1 {
             for j in j0..=j1 {
                 let cell = CellId::new(i, j);
@@ -1007,7 +1003,9 @@ fn dir_slot(dir: Dir) -> usize {
 
 /// Sets the incoming-cut bit on `to`'s mask for the neighbor `from`.
 fn apply_cut(dims: GridDims, row: &mut [u8], from: CellId, to: CellId) {
-    let dir = to.dir_to(from).expect("cuts are validated as neighbor edges");
+    let dir = to
+        .dir_to(from)
+        .expect("cuts are validated as neighbor edges");
     row[dims.index(to)] |= 1 << dir_slot(dir);
 }
 
@@ -1214,8 +1212,10 @@ mod tests {
         let mut cell = CellState::initial();
         // Two entities legally placed inside the cell.
         let c = id.center();
-        cell.members.insert(EntityId(1), Point::new(c.x - params.d(), c.y));
-        cell.members.insert(EntityId(2), Point::new(c.x + params.d(), c.y));
+        cell.members
+            .insert(EntityId(1), Point::new(c.x - params.d(), c.y));
+        cell.members
+            .insert(EntityId(2), Point::new(c.x + params.d(), c.y));
         for salt in 0..50u64 {
             let mut jostled = cell.clone();
             Corruption::Jostle { salt }.apply(&cfg, id, &mut jostled);
@@ -1273,7 +1273,10 @@ mod tests {
                 .collect();
             for e in plan.events() {
                 if matches!(e.kind, FaultKind::Corrupt(_)) {
-                    assert!(!hard.contains(&e.cell), "seed {seed}: corrupted a dead cell");
+                    assert!(
+                        !hard.contains(&e.cell),
+                        "seed {seed}: corrupted a dead cell"
+                    );
                 }
             }
         }

@@ -151,15 +151,14 @@ mod tests {
 
     #[test]
     fn frame_matches_the_store_wal_stream() {
-        let cases: [&[u8]; 5] = [
-            b"",
-            b"x",
-            b"round 12 sealed",
-            &[0u8; 100],
-            &[0xAB; 300],
-        ];
+        let cases: [&[u8]; 5] = [b"", b"x", b"round 12 sealed", &[0u8; 100], &[0xAB; 300]];
         for payload in cases {
-            assert_eq!(frame(payload), frame_legacy(payload), "payload len {}", payload.len());
+            assert_eq!(
+                frame(payload),
+                frame_legacy(payload),
+                "payload len {}",
+                payload.len()
+            );
         }
     }
 
@@ -183,7 +182,10 @@ mod tests {
         assert_eq!(payload, b"beta");
         assert_eq!(
             next_frame(&stream, next),
-            FrameStep::Torn { offset: clean, reason: FrameTear::Header }
+            FrameStep::Torn {
+                offset: clean,
+                reason: FrameTear::Header
+            }
         );
     }
 }

@@ -74,6 +74,7 @@ pub use certify::{
     CorruptionEvent, LinkCertificate,
 };
 pub use engine::{Engine, ExecMode, NeighborTable, RoundTrace};
+pub use entity::{Entity, EntityId};
 pub use fault::{
     CampaignSpec, Corruption, FaultCensus, FaultEvent, FaultKind, FaultPlan, FlakySpec, LinkFault,
     PartitionPlan, PartitionSchedule,
@@ -81,12 +82,10 @@ pub use fault::{
 pub use monitor::{
     component_map, standard_monitors, Monitor, MonitorCtx, MonitorViolation, ReachabilityMonitor,
 };
-pub use entity::{Entity, EntityId};
-pub use overload::{
-    expand_overload, BackoffPolicy, CascadeOutcome, CascadeStats, OverloadDetector,
-    OverloadTrigger,
-};
 pub use move_fn::{move_phase, MoveOutcome, Transfer};
+pub use overload::{
+    expand_overload, BackoffPolicy, CascadeOutcome, CascadeStats, OverloadDetector, OverloadTrigger,
+};
 pub use params::{Params, ParamsError};
 pub use route::route_phase;
 pub use signal::{gap_free_toward, signal_phase};

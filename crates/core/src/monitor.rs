@@ -143,7 +143,11 @@ pub struct MonitorViolation {
 
 impl fmt::Display for MonitorViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{} @ round {}] {}", self.monitor, self.round, self.detail)
+        write!(
+            f,
+            "[{} @ round {}] {}",
+            self.monitor, self.round, self.detail
+        )
     }
 }
 
@@ -372,8 +376,7 @@ impl Monitor for ConservationMonitor {
             .map(|&k| ctx.state.cells[k as usize].members.len())
             .sum();
         let population = population as i64;
-        let expected =
-            (ctx.inserted_total - ctx.consumed_total.min(ctx.inserted_total)) as i64;
+        let expected = (ctx.inserted_total - ctx.consumed_total.min(ctx.inserted_total)) as i64;
         if !ctx.corrupted.is_empty() {
             self.offset = population - expected;
             return Vec::new();
@@ -769,11 +772,7 @@ impl Monitor for CapacityMonitor {
 /// # Panics
 ///
 /// Panics if `mask.len()` differs from the number of cells.
-pub fn component_map(
-    config: &SystemConfig,
-    state: &SystemState,
-    mask: &[u8],
-) -> Vec<Option<u32>> {
+pub fn component_map(config: &SystemConfig, state: &SystemState, mask: &[u8]) -> Vec<Option<u32>> {
     let dims = config.dims();
     let n = dims.cell_count();
     assert_eq!(mask.len(), n, "mask row must match the grid");
@@ -909,9 +908,7 @@ impl Monitor for ReachabilityMonitor {
                         out.push(MonitorViolation {
                             monitor: self.name(),
                             round: ctx.round,
-                            detail: format!(
-                                "entity {eid:?} crossed the cut edge {from} → {here}"
-                            ),
+                            detail: format!("entity {eid:?} crossed the cut edge {from} → {here}"),
                         });
                     }
                 }

@@ -104,8 +104,7 @@ impl BackoffPolicy {
             0
         } else {
             splitmix64(
-                self.seed
-                    ^ ((cell.i() as u64) << 40 | (cell.j() as u64) << 20 | activation as u64),
+                self.seed ^ ((cell.i() as u64) << 40 | (cell.j() as u64) << 20 | activation as u64),
             ) % self.base
         };
         window.max(1) + jitter
@@ -372,7 +371,11 @@ pub fn expand_overload(
                         });
                     }
                 }
-                OverloadAction::Backoff { resume_round, depth, .. } => {
+                OverloadAction::Backoff {
+                    resume_round,
+                    depth,
+                    ..
+                } => {
                     trips.push((round, cell, depth));
                     extra.push(FaultEvent {
                         round,
@@ -407,10 +410,9 @@ pub fn expand_overload(
 fn apply_event(system: &mut System, event: &FaultEvent) {
     match event.kind {
         FaultKind::Recover => system.recover(event.cell),
-        FaultKind::Crash
-        | FaultKind::HardCrash
-        | FaultKind::Kill
-        | FaultKind::OverloadCrash => system.fail(event.cell),
+        FaultKind::Crash | FaultKind::HardCrash | FaultKind::Kill | FaultKind::OverloadCrash => {
+            system.fail(event.cell)
+        }
         FaultKind::Corrupt(c) => system.corrupt(event.cell, c),
     }
 }
@@ -592,17 +594,17 @@ mod tests {
             let pause = policy.pause_rounds(cell, activation);
             let doublings = activation.saturating_sub(1).min(62);
             let window = (policy.base << doublings).min(policy.max);
-            assert!(pause >= window, "activation {activation}: {pause} < {window}");
+            assert!(
+                pause >= window,
+                "activation {activation}: {pause} < {window}"
+            );
             assert!(
                 pause < window + policy.base,
                 "activation {activation}: jitter out of range"
             );
         }
         // Deterministic per (cell, activation).
-        assert_eq!(
-            policy.pause_rounds(cell, 3),
-            policy.pause_rounds(cell, 3)
-        );
+        assert_eq!(policy.pause_rounds(cell, 3), policy.pause_rounds(cell, 3));
         // And different cells draw different jitter (with overwhelming
         // probability for this seed).
         let other = CellId::new(3, 1);

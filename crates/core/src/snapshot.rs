@@ -266,19 +266,27 @@ impl<'a> Dec<'a> {
     }
 
     fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(i64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     fn cell_ref(&mut self) -> Result<Option<CellId>, String> {
@@ -376,9 +384,10 @@ pub fn apply_delta(state: &mut SystemState, body: &[u8]) -> Result<(), String> {
         let idx = d.u32()? as usize;
         let cell = d.cell()?;
         let count = state.cells.len();
-        let slot = state.cells.get_mut(idx).ok_or_else(|| {
-            format!("delta touches cell index {idx}, past the {count}-cell grid")
-        })?;
+        let slot = state
+            .cells
+            .get_mut(idx)
+            .ok_or_else(|| format!("delta touches cell index {idx}, past the {count}-cell grid"))?;
         *slot = cell;
     }
     d.finish("delta")

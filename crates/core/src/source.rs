@@ -49,7 +49,12 @@ impl SourcePolicy {
     /// policy would insert at given the cell's routed `next`, *before* the
     /// spacing check against current members. Split out so the engine can run
     /// the spacing check against its own entity arenas.
-    pub(crate) fn candidate(self, params: Params, id: CellId, next: Option<CellId>) -> Option<Point> {
+    pub(crate) fn candidate(
+        self,
+        params: Params,
+        id: CellId,
+        next: Option<CellId>,
+    ) -> Option<Point> {
         match self {
             SourcePolicy::Disabled => None,
             SourcePolicy::FarEdge => {

@@ -107,9 +107,7 @@ impl TokenPolicy {
     pub fn choose_from(self, cands: &[CellId], cell: CellId, round: u64) -> Option<CellId> {
         match self {
             TokenPolicy::RoundRobin | TokenPolicy::FixedPriority => cands.first().copied(),
-            TokenPolicy::Randomized { salt } => {
-                pick_hashed_slice(cands, None, salt, cell, round)
-            }
+            TokenPolicy::Randomized { salt } => pick_hashed_slice(cands, None, salt, cell, round),
         }
     }
 

@@ -115,17 +115,29 @@ pub fn next_frame(bytes: &[u8], at: usize) -> FrameStep<'_> {
         return FrameStep::End;
     }
     if bytes.len() - at < FRAME_HEADER_LEN {
-        return FrameStep::Torn { offset: at, reason: FrameTear::Header };
+        return FrameStep::Torn {
+            offset: at,
+            reason: FrameTear::Header,
+        };
     }
     let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
     let crc = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().expect("8 bytes"));
     let Some(payload) = bytes.get(at + FRAME_HEADER_LEN..at + FRAME_HEADER_LEN + len) else {
-        return FrameStep::Torn { offset: at, reason: FrameTear::Payload };
+        return FrameStep::Torn {
+            offset: at,
+            reason: FrameTear::Payload,
+        };
     };
     if fnv1a(payload) != crc {
-        return FrameStep::Torn { offset: at, reason: FrameTear::Checksum };
+        return FrameStep::Torn {
+            offset: at,
+            reason: FrameTear::Checksum,
+        };
     }
-    FrameStep::Frame { payload, next: at + FRAME_HEADER_LEN + len }
+    FrameStep::Frame {
+        payload,
+        next: at + FRAME_HEADER_LEN + len,
+    }
 }
 
 #[cfg(test)]
@@ -137,10 +149,7 @@ mod tests {
         // First three outputs of the splitmix64 generator seeded with 0,
         // per the reference implementation (Vigna's xoshiro page).
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
-        assert_eq!(
-            splitmix64(SPLITMIX64_GAMMA),
-            0x6E78_9E6A_A1B9_65F4,
-        );
+        assert_eq!(splitmix64(SPLITMIX64_GAMMA), 0x6E78_9E6A_A1B9_65F4,);
         assert_eq!(
             splitmix64(SPLITMIX64_GAMMA.wrapping_mul(2)),
             0x06C4_5D18_8009_454F,
@@ -203,19 +212,28 @@ mod tests {
         // Torn header: fewer than 12 bytes remain.
         assert_eq!(
             next_frame(&clean[..7], 0),
-            FrameStep::Torn { offset: 0, reason: FrameTear::Header }
+            FrameStep::Torn {
+                offset: 0,
+                reason: FrameTear::Header
+            }
         );
         // Torn payload: header promises more bytes than the stream holds.
         assert_eq!(
             next_frame(&clean[..clean.len() - 1], 0),
-            FrameStep::Torn { offset: 0, reason: FrameTear::Payload }
+            FrameStep::Torn {
+                offset: 0,
+                reason: FrameTear::Payload
+            }
         );
         // Corrupted payload: checksum mismatch.
         let mut flipped = clean.clone();
         *flipped.last_mut().unwrap() ^= 0xFF;
         assert_eq!(
             next_frame(&flipped, 0),
-            FrameStep::Torn { offset: 0, reason: FrameTear::Checksum }
+            FrameStep::Torn {
+                offset: 0,
+                reason: FrameTear::Checksum
+            }
         );
         // The tear offset names the bad frame, not the stream start.
         let mut stream = frame(b"good");
@@ -226,7 +244,10 @@ mod tests {
         };
         assert_eq!(
             next_frame(&stream, next),
-            FrameStep::Torn { offset: start, reason: FrameTear::Checksum }
+            FrameStep::Torn {
+                offset: start,
+                reason: FrameTear::Checksum
+            }
         );
     }
 }

@@ -15,6 +15,7 @@ use cellflow_telemetry::{cell_ordinal, Counter, Event, SpanBuilder, SpanKind, Tr
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::message::{Envelope, Message};
+use crate::node::{CellNode, MAX_DEGREE};
 use crate::store::{MemoryStore, PersistedRecord, RecordPoint, SnapshotStore, TearSpec};
 use crate::supervisor::{RestartPolicy, SupervisorDecision};
 use crate::sync::{PoisonInfo, RoundBarrier, WAITS_PER_ROUND};
@@ -23,7 +24,6 @@ use crate::transport::{
     ChaosConfig, ChaosStats, ChaosTransport, EdgeLink, LinkFaultTransport, LinkStats, Mailbox,
     PerfectTransport, Transport,
 };
-use crate::node::{CellNode, MAX_DEGREE};
 
 /// The result of a message-passing run.
 #[derive(Clone, Debug, PartialEq)]
@@ -562,9 +562,7 @@ impl NetSystem {
                                 excused.remove(&c);
                             }
                             for t in &self.tears {
-                                if round >= t.round
-                                    && (round < t.respawn || t.respawn >= rounds)
-                                {
+                                if round >= t.round && (round < t.respawn || t.respawn >= rounds) {
                                     excused.insert(t.cell);
                                 }
                             }
@@ -590,9 +588,9 @@ impl NetSystem {
             };
 
             let (violations, monitor_summaries, recorder_back) = match collector {
-                Some(handle) => handle.join().unwrap_or_else(|_| {
-                    (Vec::new(), vec!["collector panicked".to_string()], None)
-                }),
+                Some(handle) => handle
+                    .join()
+                    .unwrap_or_else(|_| (Vec::new(), vec!["collector panicked".to_string()], None)),
                 None => (Vec::new(), Vec::new(), None),
             };
 
@@ -609,8 +607,7 @@ impl NetSystem {
                     let culprits = if silent.is_empty() {
                         "unattributed".to_string()
                     } else {
-                        let names: Vec<String> =
-                            silent.iter().map(|c| c.to_string()).collect();
+                        let names: Vec<String> = silent.iter().map(|c| c.to_string()).collect();
                         names.join(", ")
                     };
                     tel.emit(
@@ -1002,7 +999,8 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
                     t.wal_appends.inc();
                 }
                 if tear.respawn < ctx.rounds {
-                    ctx.barrier.leave_and_rejoin_at(tear.respawn * WAITS_PER_ROUND);
+                    ctx.barrier
+                        .leave_and_rejoin_at(tear.respawn * WAITS_PER_ROUND);
                     slot.state = SlotState::Dormant {
                         respawn: tear.respawn,
                     };
@@ -1086,11 +1084,12 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
             if let Some((next, nonempty)) = slot.node.announce_route() {
                 let id = slot.id;
                 let cause = ctx.cause(round, id);
-                slot.seat.broadcast(round, cause, || Message::RouteAnnounce {
-                    from: id,
-                    next,
-                    nonempty,
-                });
+                slot.seat
+                    .broadcast(round, cause, || Message::RouteAnnounce {
+                        from: id,
+                        next,
+                        nonempty,
+                    });
             }
             slot.seat.flush();
         }
@@ -1131,7 +1130,10 @@ fn drive_shard(ctx: RunCtx<'_>, mut slots: Vec<ShardSlot>) {
                 let id = slot.id;
                 let cause = ctx.cause(round, id);
                 slot.seat
-                    .broadcast(round, cause, || Message::SignalAnnounce { from: id, signal });
+                    .broadcast(round, cause, || Message::SignalAnnounce {
+                        from: id,
+                        signal,
+                    });
             }
             slot.seat.flush();
         }
@@ -1499,7 +1501,13 @@ fn collect_rounds(
                     let (pc, pi) = std::mem::replace(prev, (consumed, inserted));
                     let work = consumed.saturating_sub(pc) + inserted.saturating_sub(pi);
                     if work > 0 {
-                        b.leaf(tr.cell_round_id(r, cell), SpanKind::Cell, Some(cell), work, 0);
+                        b.leaf(
+                            tr.cell_round_id(r, cell),
+                            SpanKind::Cell,
+                            Some(cell),
+                            work,
+                            0,
+                        );
                     }
                 }
                 for event in b.finish() {
@@ -1663,10 +1671,8 @@ mod tests {
         let plan = FaultPlan::new()
             .hard_crash_at(30, CellId::new(1, 2))
             .recover_at(60, CellId::new(1, 2));
-        let dir = std::env::temp_dir().join(format!(
-            "cellflow-runtime-uniform-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cellflow-runtime-uniform-{}", std::process::id()));
         let store = crate::store::DurableStore::create(&dir).unwrap();
         let a = NetSystem::new(config(4))
             .unwrap()
@@ -1691,7 +1697,8 @@ mod tests {
         // re-joins at 50 from the round-39 seal — a stale live state. The
         // monitors must flag nothing: conservation rebaselines on the
         // corrupted round and the stabilization stopwatch restarts.
-        let dir = std::env::temp_dir().join(format!("cellflow-runtime-tear-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("cellflow-runtime-tear-{}", std::process::id()));
         let store = crate::store::DurableStore::create(&dir).unwrap();
         let cfg = config(4);
         let monitors = cellflow_core::standard_monitors(&cfg);
@@ -1706,10 +1713,12 @@ mod tests {
             .run_monitored(160, monitors)
             .unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert!(!report
-            .state
-            .cell(GridDims::square(4), CellId::new(1, 2))
-            .failed);
+        assert!(
+            !report
+                .state
+                .cell(GridDims::square(4), CellId::new(1, 2))
+                .failed
+        );
         assert!(report.consumed > 0);
         assert!(report
             .monitor_summaries
@@ -1764,11 +1773,19 @@ mod tests {
         assert_eq!(report.supervisor.len(), 2, "{:?}", report.supervisor);
         assert!(matches!(
             report.supervisor[0],
-            SupervisorDecision::Backoff { attempt: 2, scheduled: 70, .. }
+            SupervisorDecision::Backoff {
+                attempt: 2,
+                scheduled: 70,
+                ..
+            }
         ));
         assert!(matches!(
             report.supervisor[1],
-            SupervisorDecision::Quarantine { attempt: 3, dropped_respawn: 110, .. }
+            SupervisorDecision::Quarantine {
+                attempt: 3,
+                dropped_respawn: 110,
+                ..
+            }
         ));
         // The quarantined cell stays down.
         assert!(report.state.cell(GridDims::square(4), cell).failed);
@@ -1828,13 +1845,7 @@ mod tests {
 
         // Event stream: schema-valid, one fail + one recover, 80 rollups.
         let stats = cellflow_telemetry::validate_stream(&buffer.contents()).unwrap();
-        let kind = |k: &str| {
-            stats
-                .by_kind
-                .iter()
-                .find(|(n, _)| n == k)
-                .map(|(_, c)| *c)
-        };
+        let kind = |k: &str| stats.by_kind.iter().find(|(n, _)| n == k).map(|(_, c)| *c);
         assert_eq!(kind("fail"), Some(1));
         assert_eq!(kind("recover"), Some(1));
         assert_eq!(kind("round_summary"), Some(80));
@@ -1858,10 +1869,7 @@ mod tests {
             }
             other => panic!("expected a timeout, got {other:?}"),
         }
-        assert!(
-            err.to_string().contains("silent cells ⟨2, 2⟩"),
-            "{err}"
-        );
+        assert!(err.to_string().contains("silent cells ⟨2, 2⟩"), "{err}");
     }
 
     #[test]
@@ -1889,18 +1897,18 @@ mod tests {
     fn timeout_emits_an_event_and_dumps_the_flight_recorder() {
         use cellflow_telemetry::{EventLog, Registry, SharedBuffer};
 
-        let dir = std::env::temp_dir().join(format!(
-            "cellflow-runtime-flight-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("cellflow-runtime-flight-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dump = dir.join("flight.jsonl");
         let buffer = SharedBuffer::new();
-        let tel = Arc::new(NetTelemetry::new(&Registry::new()).with_event_log(
-            EventLog::new()
-                .with_stream(Box::new(buffer.clone()))
-                .with_flight_path(dump.clone()),
-        ));
+        let tel = Arc::new(
+            NetTelemetry::new(&Registry::new()).with_event_log(
+                EventLog::new()
+                    .with_stream(Box::new(buffer.clone()))
+                    .with_flight_path(dump.clone()),
+            ),
+        );
         let cfg = config(4);
         let monitors = cellflow_core::standard_monitors(&cfg);
         let err = NetSystem::new(cfg)
@@ -1985,10 +1993,8 @@ mod tests {
         // carry as `cause` for that round — the whole point of the scheme.
         let mut cell_leaves = 0;
         for span in &trace.spans {
-            if let (true, Some(cell)) = (
-                span.label == "cell" || span.label == "silent",
-                span.cell,
-            ) {
+            if let (true, Some(cell)) = (span.label == "cell" || span.label == "silent", span.cell)
+            {
                 cell_leaves += 1;
                 assert_eq!(
                     span.id,

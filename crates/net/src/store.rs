@@ -356,7 +356,10 @@ fn encode_record(record: &PersistedRecord) -> Vec<u8> {
 }
 
 fn decode_record(payload: &[u8]) -> Option<PersistedRecord> {
-    let mut d = Dec { bytes: payload, at: 0 };
+    let mut d = Dec {
+        bytes: payload,
+        at: 0,
+    };
     let round = d.u64()?;
     let point = match d.u8()? {
         0 => RecordPoint::Intent,
@@ -436,10 +439,7 @@ mod tests {
     }
 
     fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "cellflow-store-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("cellflow-store-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -461,9 +461,7 @@ mod tests {
         fn frame_legacy(payload: &[u8]) -> Vec<u8> {
             let mut out = Vec::with_capacity(12 + payload.len());
             out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(
-                &cellflow_core::hash::fnv1a(payload).to_le_bytes(),
-            );
+            out.extend_from_slice(&cellflow_core::hash::fnv1a(payload).to_le_bytes());
             out.extend_from_slice(payload);
             out
         }
@@ -495,8 +493,12 @@ mod tests {
         let store = MemoryStore::new();
         let cell = CellId::new(1, 0);
         assert!(store.latest(cell).unwrap().is_none());
-        store.append(cell, &sample_record(1, RecordPoint::Sealed)).unwrap();
-        store.append(cell, &sample_record(2, RecordPoint::Intent)).unwrap();
+        store
+            .append(cell, &sample_record(1, RecordPoint::Sealed))
+            .unwrap();
+        store
+            .append(cell, &sample_record(2, RecordPoint::Intent))
+            .unwrap();
         let last = store.latest(cell).unwrap().unwrap();
         assert_eq!((last.round, last.point), (2, RecordPoint::Intent));
     }
@@ -507,8 +509,12 @@ mod tests {
         let cell = CellId::new(1, 0);
         {
             let store = DurableStore::create(&dir).unwrap();
-            store.append(cell, &sample_record(1, RecordPoint::Sealed)).unwrap();
-            store.append(cell, &sample_record(2, RecordPoint::Sealed)).unwrap();
+            store
+                .append(cell, &sample_record(1, RecordPoint::Sealed))
+                .unwrap();
+            store
+                .append(cell, &sample_record(2, RecordPoint::Sealed))
+                .unwrap();
         }
         let store = DurableStore::open(&dir).unwrap();
         let last = store.latest(cell).unwrap().unwrap();
@@ -524,13 +530,19 @@ mod tests {
         let dir = tempdir("torn");
         let cell = CellId::new(0, 0);
         let store = DurableStore::create(&dir).unwrap();
-        store.append(cell, &sample_record(1, RecordPoint::Sealed)).unwrap();
-        store.append_torn(cell, &sample_record(2, RecordPoint::Sealed)).unwrap();
+        store
+            .append(cell, &sample_record(1, RecordPoint::Sealed))
+            .unwrap();
+        store
+            .append_torn(cell, &sample_record(2, RecordPoint::Sealed))
+            .unwrap();
         // The torn record is invisible; reading repairs the tail.
         let last = store.latest(cell).unwrap().unwrap();
         assert_eq!(last.round, 1);
         // A post-repair append lands cleanly after the intact prefix.
-        store.append(cell, &sample_record(3, RecordPoint::Intent)).unwrap();
+        store
+            .append(cell, &sample_record(3, RecordPoint::Intent))
+            .unwrap();
         let last = store.latest(cell).unwrap().unwrap();
         assert_eq!((last.round, last.point), (3, RecordPoint::Intent));
         let _ = std::fs::remove_dir_all(&dir);
@@ -541,9 +553,13 @@ mod tests {
         let dir = tempdir("flip");
         let cell = CellId::new(0, 0);
         let store = DurableStore::create(&dir).unwrap();
-        store.append(cell, &sample_record(1, RecordPoint::Sealed)).unwrap();
+        store
+            .append(cell, &sample_record(1, RecordPoint::Sealed))
+            .unwrap();
         let good_len = std::fs::metadata(store.path_for(cell)).unwrap().len();
-        store.append(cell, &sample_record(2, RecordPoint::Sealed)).unwrap();
+        store
+            .append(cell, &sample_record(2, RecordPoint::Sealed))
+            .unwrap();
         // Flip a byte inside the second record's payload.
         let path = store.path_for(cell);
         let mut bytes = std::fs::read(&path).unwrap();

@@ -143,9 +143,7 @@ impl RestartPolicy {
         // per cell.
         let mut crashes: Vec<(u64, CellId)> = original
             .iter()
-            .filter(|e| {
-                matches!(e.kind, FaultKind::HardCrash | FaultKind::OverloadCrash)
-            })
+            .filter(|e| matches!(e.kind, FaultKind::HardCrash | FaultKind::OverloadCrash))
             .map(|e| (e.round, e.cell))
             .collect();
         crashes.sort();
@@ -153,8 +151,7 @@ impl RestartPolicy {
             std::collections::BTreeMap::new();
         // Every recover a crash has matched, honored or not: a scripted
         // re-spawn answers exactly one crash.
-        let mut claimed: std::collections::BTreeSet<usize> =
-            std::collections::BTreeSet::new();
+        let mut claimed: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
         let mut dropped: Vec<usize> = Vec::new();
         for (crash_round, cell) in crashes {
             // The matching scripted re-spawn: the earliest Recover of this
@@ -253,7 +250,11 @@ mod tests {
         assert_eq!(decisions.len(), 2);
         assert!(matches!(
             decisions[0],
-            SupervisorDecision::Backoff { attempt: 2, scheduled: 25, .. }
+            SupervisorDecision::Backoff {
+                attempt: 2,
+                scheduled: 25,
+                ..
+            }
         ));
         // Determinism: same inputs, same effective plan.
         assert_eq!(policy.rewrite(&plan).0, effective);

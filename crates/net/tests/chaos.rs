@@ -64,7 +64,10 @@ fn chaos_runs_are_deterministic() {
     let a = run();
     let b = run();
     assert_eq!(a, b);
-    assert!(a.chaos.dropped > 0, "campaign was supposed to drop messages");
+    assert!(
+        a.chaos.dropped > 0,
+        "campaign was supposed to drop messages"
+    );
 }
 
 /// Duplication and reordering alone are absorbed by the keyed drains: the

@@ -70,7 +70,8 @@ fn single_source_with_failures_bit_identical() {
         (55, CellId::new(1, 4), false),
     ];
     let cfg = single_source_config(5);
-    let net = NetSystem::new(cfg.clone()).unwrap()
+    let net = NetSystem::new(cfg.clone())
+        .unwrap()
         .with_schedule(schedule.clone())
         .run(120)
         .unwrap();

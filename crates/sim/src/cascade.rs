@@ -131,7 +131,11 @@ impl CascadeReport {
         let _ = writeln!(
             s,
             "capacity at end: {}",
-            if self.capacity_ok_final { "OK" } else { "VIOLATED" }
+            if self.capacity_ok_final {
+                "OK"
+            } else {
+                "VIOLATED"
+            }
         );
         let _ = writeln!(s, "occupancy:");
         s.push_str(&self.occupancy);
@@ -279,10 +283,7 @@ mod tests {
         })));
         // Backoff strictly reduces overload crashes (to zero: pauses are
         // recorded as plain Crash/Recover pairs) and actually activates.
-        assert!(
-            mitigated.outcome.stats.overload_crashes
-                < cascade.outcome.stats.overload_crashes
-        );
+        assert!(mitigated.outcome.stats.overload_crashes < cascade.outcome.stats.overload_crashes);
         assert_eq!(mitigated.outcome.stats.overload_crashes, 0);
         assert!(mitigated.outcome.stats.backoff_activations > 0);
     }

@@ -297,9 +297,7 @@ impl FailureModel for OverloadModel {
                 events.recovered.push(cell);
             }
         }
-        let tripped = self
-            .detector
-            .poll(system.config(), system.state(), round);
+        let tripped = self.detector.poll(system.config(), system.state(), round);
         for (cell, action) in tripped {
             system.fail(cell);
             events.failed.push(cell);
@@ -427,7 +425,10 @@ mod tests {
             }
         }
         assert!(!sys.cell(CellId::new(1, 1)).failed);
-        assert!(sys.cell(CellId::new(2, 2)).failed, "hard crash reads as fail");
+        assert!(
+            sys.cell(CellId::new(2, 2)).failed,
+            "hard crash reads as fail"
+        );
     }
 
     #[test]
@@ -436,8 +437,7 @@ mod tests {
 
         let mut sys = system();
         let victim = CellId::new(1, 2);
-        let mut plan =
-            FaultPlan::new().corrupt_at(3, victim, Corruption::Dist(Dist::Finite(0)));
+        let mut plan = FaultPlan::new().corrupt_at(3, victim, Corruption::Dist(Dist::Finite(0)));
         for round in 0..5 {
             let ev = plan.apply(&mut sys, round);
             if round == 3 {
@@ -537,16 +537,18 @@ mod tests {
         let modes: [(Option<BackoffPolicy>, Option<u64>); 3] = [
             (None, None),
             (None, Some(12)),
-            (Some(BackoffPolicy { base: 4, max: 32, seed: 0xCA5CADE }), None),
+            (
+                Some(BackoffPolicy {
+                    base: 4,
+                    max: 32,
+                    seed: 0xCA5CADE,
+                }),
+                None,
+            ),
         ];
         for (backoff, restart_after) in modes {
             let mut online = capacity_system();
-            let mut model = OverloadModel::new(
-                online.config(),
-                base.clone(),
-                trigger,
-                backoff,
-            );
+            let mut model = OverloadModel::new(online.config(), base.clone(), trigger, backoff);
             if let Some(after) = restart_after {
                 model = model.with_restart_after(after);
             }
@@ -566,7 +568,11 @@ mod tests {
                 plan.apply(&mut replay, round);
                 replay.step();
             }
-            assert_eq!(online.state(), replay.state(), "mode {backoff:?}/{restart_after:?}");
+            assert_eq!(
+                online.state(),
+                replay.state(),
+                "mode {backoff:?}/{restart_after:?}"
+            );
             assert_eq!(online.consumed_total(), replay.consumed_total());
             assert_eq!(model.stats(), outcome.stats);
         }
@@ -580,7 +586,11 @@ mod tests {
             sys.config(),
             FaultPlan::new(),
             OverloadTrigger::new(2, 2),
-            Some(BackoffPolicy { base: 4, max: 32, seed: 1 }),
+            Some(BackoffPolicy {
+                base: 4,
+                max: 32,
+                seed: 1,
+            }),
         )
         .with_restart_after(5);
     }

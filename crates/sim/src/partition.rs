@@ -116,7 +116,11 @@ impl PartitionReport {
         let _ = writeln!(
             s,
             "verdict: {}",
-            if self.certified() { "CERTIFIED" } else { "FAILED" }
+            if self.certified() {
+                "CERTIFIED"
+            } else {
+                "FAILED"
+            }
         );
         let _ = writeln!(s, "components at deepest split:");
         s.push_str(&self.components_split);
@@ -187,7 +191,10 @@ pub fn run_partition_recorded(
     let dims = config.dims();
     let mut occupancy = OccupancyGrid::new(dims);
     let mut max_components = 0u32;
-    let mut components_split = render_components(dims, &component_map(config, sim.system().state(), schedule.mask_row(0)));
+    let mut components_split = render_components(
+        dims,
+        &component_map(config, sim.system().state(), schedule.mask_row(0)),
+    );
     for round in 0..total_rounds {
         sim.step();
         occupancy.record(config, sim.system().state());
@@ -200,7 +207,11 @@ pub fn run_partition_recorded(
     }
     let components_final = render_components(
         dims,
-        &component_map(config, sim.system().state(), schedule.mask_row(total_rounds)),
+        &component_map(
+            config,
+            sim.system().state(),
+            schedule.mask_row(total_rounds),
+        ),
     );
 
     let recording = sim.take_recorder().map(|r| r.finish());

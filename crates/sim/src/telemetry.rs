@@ -80,7 +80,9 @@ impl SimTelemetry {
     /// with at least one active cut, cut edge-rounds (one directed edge
     /// suppressed for one round), and whether the campaign healed.
     pub fn record_partition(&self, schedule: &cellflow_core::PartitionSchedule) {
-        let active = (0..schedule.rounds()).filter(|&r| schedule.active(r)).count() as u64;
+        let active = (0..schedule.rounds())
+            .filter(|&r| schedule.active(r))
+            .count() as u64;
         self.partition_rounds.add(active);
         self.cut_edge_rounds.add(schedule.cut_edge_rounds());
         if active > 0 && !schedule.active(schedule.rounds().saturating_sub(1)) {
@@ -380,10 +382,7 @@ mod tests {
             backoff_activations: 3,
             max_cascade_depth: 2,
         };
-        let trips = [
-            (10, CellId::new(1, 1), 1),
-            (12, CellId::new(1, 2), 2),
-        ];
+        let trips = [(10, CellId::new(1, 1), 1), (12, CellId::new(1, 2), 2)];
         tel.record_cascade(&stats, &trips);
         let names: Vec<String> = registry
             .snapshot()

@@ -178,7 +178,10 @@ impl Event {
     /// with `round`.
     pub fn to_line(&self, round: u64) -> String {
         let mut out = String::with_capacity(64);
-        let _ = write!(out, "{{\"v\":{SCHEMA_VERSION},\"round\":{round},\"kind\":\"");
+        let _ = write!(
+            out,
+            "{{\"v\":{SCHEMA_VERSION},\"round\":{round},\"kind\":\""
+        );
         out.push_str(self.kind());
         out.push('"');
         match self {
@@ -338,7 +341,9 @@ impl Event {
                 let open = u64_field(&value, "open")?;
                 let close = u64_field(&value, "close")?;
                 if close <= open {
-                    return Err(format!("span `close` ({close}) must exceed `open` ({open})"));
+                    return Err(format!(
+                        "span `close` ({close}) must exceed `open` ({open})"
+                    ));
                 }
                 let id = u64_field(&value, "id")?;
                 if id == 0 {
@@ -552,9 +557,8 @@ mod tests {
         for (k, event) in all_events().into_iter().enumerate() {
             let round = 10 + k as u64;
             let line = event.to_line(round);
-            let (r, parsed) = Event::parse_line(&line).unwrap_or_else(|e| {
-                panic!("kind {} failed to parse: {e}\n{line}", event.kind())
-            });
+            let (r, parsed) = Event::parse_line(&line)
+                .unwrap_or_else(|e| panic!("kind {} failed to parse: {e}\n{line}", event.kind()));
             assert_eq!((r, &parsed), (round, &event), "line: {line}");
         }
     }
@@ -577,14 +581,16 @@ mod tests {
         assert!(Event::parse_line(r#"{"v":1,"round":0,"kind":"warp"}"#)
             .unwrap_err()
             .contains("unknown event kind"));
-        assert!(Event::parse_line(r#"{"v":1,"round":0,"kind":"insert","cell":[1],"entity":0}"#)
-            .unwrap_err()
-            .contains("pair"));
         assert!(
-            Event::parse_line(r#"{"v":1,"round":0,"kind":"insert","cell":[1,99999],"entity":0}"#)
+            Event::parse_line(r#"{"v":1,"round":0,"kind":"insert","cell":[1],"entity":0}"#)
                 .unwrap_err()
-                .contains("u16")
+                .contains("pair")
         );
+        assert!(Event::parse_line(
+            r#"{"v":1,"round":0,"kind":"insert","cell":[1,99999],"entity":0}"#
+        )
+        .unwrap_err()
+        .contains("u16"));
         assert!(Event::parse_line(r#"{"v":1,"kind":"consume","entity":1}"#)
             .unwrap_err()
             .contains("round"));

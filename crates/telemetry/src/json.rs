@@ -419,7 +419,10 @@ mod tests {
         let v = Json::parse("18446744073709551615").unwrap();
         assert_eq!(v.as_u64(), Some(u64::MAX));
         assert_eq!(v.as_i64(), None, "out of i64 range");
-        assert_eq!(Json::parse("-9223372036854775808").unwrap().as_i64(), Some(i64::MIN));
+        assert_eq!(
+            Json::parse("-9223372036854775808").unwrap().as_i64(),
+            Some(i64::MIN)
+        );
     }
 
     #[test]
@@ -434,11 +437,11 @@ mod tests {
 
     #[test]
     fn unicode_escapes_decode() {
+        assert_eq!(Json::parse(r#""Aé""#).unwrap(), Json::Str("Aé".into()));
         assert_eq!(
-            Json::parse(r#""Aé""#).unwrap(),
-            Json::Str("Aé".into())
+            Json::parse("\"héllo→\"").unwrap(),
+            Json::Str("héllo→".into())
         );
-        assert_eq!(Json::parse("\"héllo→\"").unwrap(), Json::Str("héllo→".into()));
     }
 
     #[test]
@@ -451,7 +454,16 @@ mod tests {
     #[test]
     fn rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "tru", "{\"a\"1}", "\"unterminated", "1 2", "{\"a\":}", "[,]", "nul",
+            "",
+            "{",
+            "[1,",
+            "tru",
+            "{\"a\"1}",
+            "\"unterminated",
+            "1 2",
+            "{\"a\":}",
+            "[,]",
+            "nul",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }

@@ -49,7 +49,6 @@ pub mod report;
 pub mod trace;
 
 pub use event::{validate_stream, Event, StreamStats, SCHEMA_VERSION};
-pub use trace::{cell_ordinal, SpanBuilder, SpanKind, Trace, TraceSpan, Tracer};
 pub use json::Json;
 pub use recorder::{EventLog, FlightRecorder, SharedBuffer};
 pub use recording::{
@@ -59,3 +58,4 @@ pub use registry::{
     Counter, Gauge, Histogram, MetricSnapshot, PhaseTimers, Registry, SchedulerMetrics, Span,
     BUCKETS, SHARDS,
 };
+pub use trace::{cell_ordinal, SpanBuilder, SpanKind, Trace, TraceSpan, Tracer};

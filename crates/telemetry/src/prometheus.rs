@@ -81,7 +81,7 @@ fn valid_metric_name(name: &str) -> bool {
 pub fn validate(text: &str) -> Result<ExpositionStats, (usize, String)> {
     let mut stats = ExpositionStats::default();
     let mut families: Vec<(String, String)> = Vec::new(); // (name, type)
-    // Per-histogram running state: (family, last cumulative, inf seen, count seen)
+                                                          // Per-histogram running state: (family, last cumulative, inf seen, count seen)
     let mut hist: Option<(String, u64, Option<u64>, Option<u64>)> = None;
 
     fn close_histogram(
@@ -108,8 +108,12 @@ pub fn validate(text: &str) -> Result<ExpositionStats, (usize, String)> {
             close_histogram(&hist, lineno)?;
             hist = None;
             let mut parts = comment.split_whitespace();
-            let name = parts.next().ok_or((lineno, "TYPE without name".to_string()))?;
-            let kind = parts.next().ok_or((lineno, "TYPE without kind".to_string()))?;
+            let name = parts
+                .next()
+                .ok_or((lineno, "TYPE without name".to_string()))?;
+            let kind = parts
+                .next()
+                .ok_or((lineno, "TYPE without kind".to_string()))?;
             if !valid_metric_name(name) {
                 return Err((lineno, format!("illegal metric name `{name}`")));
             }
@@ -153,9 +157,9 @@ pub fn validate(text: &str) -> Result<ExpositionStats, (usize, String)> {
             .iter()
             .find(|(n, _)| {
                 name == n
-                    || (name.strip_prefix(n.as_str()).is_some_and(|suffix| {
-                        matches!(suffix, "_bucket" | "_sum" | "_count")
-                    }))
+                    || (name
+                        .strip_prefix(n.as_str())
+                        .is_some_and(|suffix| matches!(suffix, "_bucket" | "_sum" | "_count")))
             })
             .ok_or((lineno, format!("sample `{name}` without TYPE declaration")))?
             .clone();
@@ -327,6 +331,12 @@ cellflow_rounds_total 12
     fn help_comments_and_blanks_are_tolerated() {
         let text = "# HELP m something\n# TYPE m counter\n\nm 4\n";
         let stats = validate(text).unwrap();
-        assert_eq!(stats, ExpositionStats { families: 1, samples: 1 });
+        assert_eq!(
+            stats,
+            ExpositionStats {
+                families: 1,
+                samples: 1
+            }
+        );
     }
 }

@@ -265,10 +265,7 @@ impl Write for SharedBuffer {
 /// Convenience check used by smoke tests: `true` if `line` is a
 /// schema-`v1` `flight_header` line.
 pub fn is_flight_header(line: &str) -> bool {
-    matches!(
-        Event::parse_line(line),
-        Ok((_, Event::FlightHeader { .. }))
-    ) && SCHEMA_VERSION == 1
+    matches!(Event::parse_line(line), Ok((_, Event::FlightHeader { .. }))) && SCHEMA_VERSION == 1
 }
 
 #[cfg(test)]
@@ -300,7 +297,12 @@ mod tests {
     fn dump_has_header_then_history() {
         let mut fr = FlightRecorder::new(8);
         fr.push(5, consume(0));
-        fr.push(6, Event::Fail { cell: CellId::new(1, 1) });
+        fr.push(
+            6,
+            Event::Fail {
+                cell: CellId::new(1, 1),
+            },
+        );
         let dump = fr.render_dump("violation", 6);
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 3);
@@ -352,7 +354,9 @@ mod tests {
         let path = dir.join("flight.jsonl");
         let _ = std::fs::remove_file(&path);
 
-        let mut log = EventLog::new().with_flight(4).with_flight_path(path.clone());
+        let mut log = EventLog::new()
+            .with_flight(4)
+            .with_flight_path(path.clone());
         assert!(log.is_enabled());
         for round in 0..10 {
             log.emit(round, consume(round));

@@ -92,7 +92,10 @@ impl RecHeader {
     }
 
     fn decode(payload: &[u8]) -> Result<RecHeader, String> {
-        let mut d = HDec { bytes: payload, at: 0 };
+        let mut d = HDec {
+            bytes: payload,
+            at: 0,
+        };
         let magic = d.u32()?;
         if magic != REC_MAGIC {
             return Err(format!("bad magic {magic:#010x} (not a .rec recording)"));
@@ -148,13 +151,19 @@ impl HDec<'_> {
         Ok(s)
     }
     fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
     fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
     fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
     fn string(&mut self) -> Result<String, String> {
         let len = self.u32()? as usize;
@@ -255,7 +264,10 @@ pub struct RecError {
 
 impl RecError {
     fn at(offset: usize, message: impl Into<String>) -> RecError {
-        RecError { offset, message: message.into() }
+        RecError {
+            offset,
+            message: message.into(),
+        }
     }
 }
 
@@ -281,7 +293,9 @@ impl Recording {
     pub fn parse(bytes: &[u8]) -> Result<Recording, RecError> {
         let (header_payload, mut at) = match next_frame(bytes, 0) {
             FrameStep::Frame { payload, next } => (payload, next),
-            FrameStep::End => return Err(RecError::at(0, "empty file (expected a .rec recording)")),
+            FrameStep::End => {
+                return Err(RecError::at(0, "empty file (expected a .rec recording)"))
+            }
             FrameStep::Torn { offset, reason } => return Err(tear_error(offset, reason, "header")),
         };
         let header = RecHeader::decode(header_payload).map_err(|m| RecError::at(0, m))?;
@@ -305,15 +319,16 @@ impl Recording {
                 }
                 FrameStep::Frame { payload, next } => {
                     if payload.len() < 9 {
-                        return Err(RecError::at(offset, "state frame shorter than its round/kind prologue"));
+                        return Err(RecError::at(
+                            offset,
+                            "state frame shorter than its round/kind prologue",
+                        ));
                     }
                     let round = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
                     let kind = match payload[8] {
                         0 => FrameKind::Keyframe,
                         1 => FrameKind::Delta,
-                        k => {
-                            return Err(RecError::at(offset, format!("unknown frame kind {k}")))
-                        }
+                        k => return Err(RecError::at(offset, format!("unknown frame kind {k}"))),
                     };
                     frames.push(RecFrame {
                         round,
@@ -337,7 +352,10 @@ impl Recording {
         }
         if let Some(first) = frames.first() {
             if first.kind != FrameKind::Keyframe {
-                return Err(RecError::at(first.offset, "first state frame must be a keyframe"));
+                return Err(RecError::at(
+                    first.offset,
+                    "first state frame must be a keyframe",
+                ));
             }
             for (k, f) in frames.iter().enumerate() {
                 let expect = first.round + k as u64;
@@ -380,7 +398,9 @@ impl Recording {
 fn tear_error(offset: usize, reason: FrameTear, what: &str) -> RecError {
     let msg = match reason {
         FrameTear::Header => format!("truncated {what} frame (incomplete frame header)"),
-        FrameTear::Payload => format!("truncated {what} frame (payload shorter than its length field)"),
+        FrameTear::Payload => {
+            format!("truncated {what} frame (payload shorter than its length field)")
+        }
         FrameTear::Checksum => format!("corrupt {what} frame (fnv1a checksum mismatch)"),
     };
     RecError::at(offset, msg)
@@ -479,8 +499,8 @@ mod tests {
     #[test]
     fn non_recording_bytes_fail_with_context() {
         assert!(Recording::parse(b"").is_err());
-        let err = Recording::parse(&cellflow_dts::hash::frame(b"not a header"))
-            .expect_err("bad magic");
+        let err =
+            Recording::parse(&cellflow_dts::hash::frame(b"not a header")).expect_err("bad magic");
         assert!(err.message.contains("magic"), "{}", err.message);
     }
 }

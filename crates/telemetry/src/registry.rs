@@ -676,7 +676,11 @@ mod tests {
         h.observe(100);
         assert_eq!((c.value(), g.value(), h.count()), (0, 0, 0));
         assert!(!h.is_enabled());
-        assert_eq!(h.start().stop(), None, "disabled spans never read the clock");
+        assert_eq!(
+            h.start().stop(),
+            None,
+            "disabled spans never read the clock"
+        );
         assert!(reg.snapshot().is_empty());
     }
 
@@ -724,7 +728,11 @@ mod tests {
         let timers = PhaseTimers::register(&reg);
         timers.route.observe(1);
         timers.round.observe(4);
-        let names: Vec<String> = reg.snapshot().iter().map(|m| m.name().to_string()).collect();
+        let names: Vec<String> = reg
+            .snapshot()
+            .iter()
+            .map(|m| m.name().to_string())
+            .collect();
         assert!(names.contains(&"cellflow_engine_route_ns".to_string()));
         assert!(names.contains(&"cellflow_engine_round_ns".to_string()));
         assert_eq!(names.len(), 4);

@@ -41,7 +41,12 @@ pub fn render_tables(snapshot: &[MetricSnapshot]) -> String {
         })
         .collect();
     if !histograms.is_empty() {
-        let width = histograms.iter().map(|(n, ..)| n.len()).max().unwrap().max(9);
+        let width = histograms
+            .iter()
+            .map(|(n, ..)| n.len())
+            .max()
+            .unwrap()
+            .max(9);
         let _ = writeln!(
             out,
             "{:<width$}  {:>10}  {:>12}  {:>12}  {:>12}  {:>12}  {:>12}",
@@ -167,7 +172,11 @@ pub fn render_timeline(text: &str, max_rows: usize) -> Result<String, (usize, St
         "round", "ins", "mov", "con", "blk", "fail", "rec", "cor"
     );
     let total = rounds.len();
-    let shown = if max_rows == 0 { total } else { max_rows.min(total) };
+    let shown = if max_rows == 0 {
+        total
+    } else {
+        max_rows.min(total)
+    };
     let skip = total - shown;
     if skip > 0 {
         let _ = writeln!(out, "{:>8}  … {skip} earlier round(s) elided …", "");
@@ -259,9 +268,12 @@ mod tests {
     #[test]
     fn timeline_reports_flight_header() {
         let mut fr = crate::recorder::FlightRecorder::new(4);
-        fr.push(7, Event::Fail {
-            cell: CellId::new(1, 1),
-        });
+        fr.push(
+            7,
+            Event::Fail {
+                cell: CellId::new(1, 1),
+            },
+        );
         fr.push(
             8,
             Event::Violation {

@@ -43,22 +43,20 @@ fn reference(config: &SystemConfig, rounds: u64, plan: &FaultPlan) -> (Vec<Strin
 
 /// A random crash/recover event stream over an `n × n` grid.
 fn plan_strategy(n: u16, rounds: u64) -> impl Strategy<Value = FaultPlan> {
-    proptest::collection::vec(
-        (0..rounds, (0..n, 0..n), proptest::bool::ANY),
-        0..8,
+    proptest::collection::vec((0..rounds, (0..n, 0..n), proptest::bool::ANY), 0..8).prop_map(
+        move |events| {
+            let mut plan = FaultPlan::new();
+            for (round, (i, j), recover) in events {
+                let cell = CellId::new(i, j);
+                plan = if recover {
+                    plan.recover_at(round, cell)
+                } else {
+                    plan.crash_at(round, cell)
+                };
+            }
+            plan
+        },
     )
-    .prop_map(move |events| {
-        let mut plan = FaultPlan::new();
-        for (round, (i, j), recover) in events {
-            let cell = CellId::new(i, j);
-            plan = if recover {
-                plan.recover_at(round, cell)
-            } else {
-                plan.crash_at(round, cell)
-            };
-        }
-        plan
-    })
 }
 
 proptest! {

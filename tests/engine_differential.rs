@@ -9,9 +9,7 @@
 //! 4–6 line by line); the engine is the optimization. This suite is what
 //! licenses every caller to run on the fast path.
 
-use cellular_flows::core::{
-    update, Corruption, Engine, Params, System, SystemConfig, TokenPolicy,
-};
+use cellular_flows::core::{update, Corruption, Engine, Params, System, SystemConfig, TokenPolicy};
 use cellular_flows::geom::Dir;
 use cellular_flows::grid::{CellId, GridDims};
 use cellular_flows::routing::Dist;
@@ -38,12 +36,16 @@ fn decode_event(kind: u8, salt: u64, dist_cap: u32) -> Event {
     match kind % 10 {
         0 => Event::Crash,
         1 => Event::Recover,
-        2 => Event::Corrupt(Corruption::Dist(Dist::Finite((salt % dist_cap as u64) as u32))),
+        2 => Event::Corrupt(Corruption::Dist(Dist::Finite(
+            (salt % dist_cap as u64) as u32,
+        ))),
         3 => Event::Corrupt(Corruption::Dist(Dist::Infinity)),
         4 => Event::Corrupt(Corruption::Next(decode_dir(salt))),
         5 => Event::Corrupt(Corruption::Token(decode_dir(salt))),
         6 => Event::Corrupt(Corruption::Signal(decode_dir(salt))),
-        7 => Event::Corrupt(Corruption::NePrev { mask: (salt % 16) as u8 }),
+        7 => Event::Corrupt(Corruption::NePrev {
+            mask: (salt % 16) as u8,
+        }),
         8 => Event::Corrupt(Corruption::Jostle { salt }),
         _ => Event::Corrupt(Corruption::Scramble { salt }),
     }
@@ -159,5 +161,9 @@ fn steady_state_engine_rounds_do_not_allocate() {
     for _ in 0..500 {
         engine.step();
     }
-    assert_eq!(engine.alloc_events(), 0, "steady-state rounds must be allocation-free");
+    assert_eq!(
+        engine.alloc_events(),
+        0,
+        "steady-state rounds must be allocation-free"
+    );
 }

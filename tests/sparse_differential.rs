@@ -13,12 +13,12 @@
 //! running every campaign — chaos, stabilize, cascade, partition — on the
 //! sparse path by default.
 
+use cellular_flows::core::monitor::MonitorCtx;
 use cellular_flows::core::monitor::MonitorViolation;
 use cellular_flows::core::{
     expand_overload, standard_monitors, Corruption, Engine, ExecMode, Monitor, OverloadTrigger,
     Params, PartitionPlan, System, SystemConfig, TokenPolicy,
 };
-use cellular_flows::core::monitor::MonitorCtx;
 use cellular_flows::geom::Dir;
 use cellular_flows::grid::{CellId, GridDims};
 use cellular_flows::routing::Dist;
@@ -47,12 +47,16 @@ fn decode_event(kind: u8, salt: u64, dist_cap: u32) -> Event {
     match kind % 14 {
         0 | 10 | 11 => Event::Crash,
         1 | 12 | 13 => Event::Recover,
-        2 => Event::Corrupt(Corruption::Dist(Dist::Finite((salt % dist_cap as u64) as u32))),
+        2 => Event::Corrupt(Corruption::Dist(Dist::Finite(
+            (salt % dist_cap as u64) as u32,
+        ))),
         3 => Event::Corrupt(Corruption::Dist(Dist::Infinity)),
         4 => Event::Corrupt(Corruption::Next(decode_dir(salt))),
         5 => Event::Corrupt(Corruption::Token(decode_dir(salt))),
         6 => Event::Corrupt(Corruption::Signal(decode_dir(salt))),
-        7 => Event::Corrupt(Corruption::NePrev { mask: (salt % 16) as u8 }),
+        7 => Event::Corrupt(Corruption::NePrev {
+            mask: (salt % 16) as u8,
+        }),
         8 => Event::Corrupt(Corruption::Jostle { salt }),
         _ => Event::Corrupt(Corruption::Scramble { salt }),
     }
@@ -247,7 +251,11 @@ proptest! {
 fn steady_state_sparse_rounds_do_not_allocate() {
     let cfg = config(8, 0, true, None);
     let mut engine = Engine::new(cfg);
-    assert_eq!(engine.exec_mode(), ExecMode::Sparse, "sparse is the default");
+    assert_eq!(
+        engine.exec_mode(),
+        ExecMode::Sparse,
+        "sparse is the default"
+    );
     for _ in 0..500 {
         engine.step();
     }
@@ -255,7 +263,11 @@ fn steady_state_sparse_rounds_do_not_allocate() {
     for _ in 0..500 {
         engine.step();
     }
-    assert_eq!(engine.alloc_events(), 0, "steady-state sparse rounds must be allocation-free");
+    assert_eq!(
+        engine.alloc_events(),
+        0,
+        "steady-state sparse rounds must be allocation-free"
+    );
     // And the scheduler is actually sparse: the steady flow keeps the
     // active set well under the full 64-cell grid.
     assert!(engine.active_cells() < 64, "active set never shrank");

@@ -193,7 +193,13 @@ proptest! {
 /// guarantee isn't only as strong as `check_causality`'s implementation.
 #[test]
 fn parents_exist_and_close_after_their_children_open() {
-    let stream = traced_net_stream(5, 7, 48, &FaultPlan::new().crash_at(9, CellId::new(2, 2)), None);
+    let stream = traced_net_stream(
+        5,
+        7,
+        48,
+        &FaultPlan::new().crash_at(9, CellId::new(2, 2)),
+        None,
+    );
     let trace = Trace::parse(&stream).unwrap();
     for span in &trace.spans {
         if span.parent == 0 {
@@ -203,7 +209,12 @@ fn parents_exist_and_close_after_their_children_open() {
             .spans
             .iter()
             .find(|p| p.round == span.round && p.id == span.parent)
-            .unwrap_or_else(|| panic!("round {} span {:#x} has an absent parent", span.round, span.id));
+            .unwrap_or_else(|| {
+                panic!(
+                    "round {} span {:#x} has an absent parent",
+                    span.round, span.id
+                )
+            });
         assert!(
             parent.close > span.open,
             "round {}: parent {:#x} closed at {} before child {:#x} opened at {}",
