@@ -1004,6 +1004,19 @@ pub(crate) fn two_thirds(x: u64) -> u64 {
     (u128::from(x) * 2 / 3) as u64
 }
 
+/// A fresh directory for one run's durable snapshot store, named by `tag`,
+/// seed, process and a per-process run counter. `DurableStore::create`
+/// deletes the logs it finds, so two runs of one seed in one process
+/// (parallel tests) must never share a directory.
+pub(crate) fn run_store_dir(tag: &str, seed: u64) -> std::path::PathBuf {
+    static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "cellflow-{tag}-{seed}-{}-{}",
+        std::process::id(),
+        RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ))
+}
+
 /// The deployment phase of a `stabilize` campaign with a corruption window
 /// of `active` rounds: a hard crash re-spawned from its sealed snapshot, a
 /// dirty tear re-spawned from a stale one, and the rounds the deployment
@@ -1364,14 +1377,7 @@ fn stabilize(flags: &Flags) -> Result<(), String> {
         .hard_crash_at(hard_at, hard_victim)
         .recover_at(hard_respawn, hard_victim);
 
-    // One directory per run: runs of one seed in one process (parallel
-    // tests) must not delete each other's store.
-    static RUNS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let store_dir = std::env::temp_dir().join(format!(
-        "cellflow-stabilize-{seed}-{}-{}",
-        std::process::id(),
-        RUNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
+    let store_dir = run_store_dir("stabilize", seed);
     let store = DurableStore::create(&store_dir).map_err(|e| e.to_string())?;
     let probe = StabilizationProbe::new();
     let monitors: Vec<Box<dyn Monitor>> = vec![

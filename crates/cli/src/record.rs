@@ -494,10 +494,7 @@ impl RecScenario {
                 let plan = FaultPlan::random_campaign(&config, &spec, seed)
                     .hard_crash_at(schedule.hard_at, schedule.hard_victim)
                     .recover_at(schedule.hard_respawn, schedule.hard_victim);
-                let store_dir = std::env::temp_dir().join(format!(
-                    "cellflow-rec-stabilize-{seed}-{}",
-                    std::process::id()
-                ));
+                let store_dir = crate::commands::run_store_dir("rec-stabilize", seed);
                 let store = DurableStore::create(&store_dir).map_err(|e| e.to_string())?;
                 let net = NetSystem::new(config)
                     .map_err(|e| e.to_string())?
@@ -1127,6 +1124,24 @@ mod tests {
             let err = record(&Flags::parse(&args).unwrap()).unwrap_err();
             assert!(err.contains("campaign horizon overflows"), "{cmd}: {err}");
         }
+    }
+
+    /// Two drives of one seed in one process must not share a store
+    /// directory: `DurableStore::create` deletes the logs it finds there.
+    #[test]
+    fn parallel_stabilize_drives_of_one_seed_keep_their_stores() {
+        let scenario = RecScenario::Stabilize {
+            n: 4,
+            corruptions: 3,
+            active: 24,
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| scenario.drive(3, 16));
+            let b = s.spawn(|| scenario.drive(3, 16));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert!(a == b, "two drives of one seed wrote different recordings");
     }
 
     #[test]

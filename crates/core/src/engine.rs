@@ -50,12 +50,12 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cellflow_geom::{sep_ok, Dir, Point};
+use cellflow_geom::{Dir, Point};
 use cellflow_grid::{CellId, GridDims};
 use cellflow_routing::Dist;
 use cellflow_telemetry::{PhaseTimers, SchedulerMetrics};
 
-use crate::signal::gap_free_toward;
+use crate::kernel::{self, Step};
 use crate::{
     CellState, EntityId, Params, RoundEvents, SystemConfig, SystemState, TokenPolicy, Transfer,
 };
@@ -238,15 +238,7 @@ impl MarkSet {
     }
 }
 
-/// `Signal`'s per-cell result: the three registers Figure 5 writes back.
-#[derive(Clone, Copy, Debug)]
-struct SigOut {
-    mask: u8,
-    token: Option<CellId>,
-    signal: Option<CellId>,
-}
-
-/// Where `Move`'s per-cell kernel writes: the round's events, the deferred
+/// Where [`move_cell_into`] writes: the round's events, the deferred
 /// cross-cell arrivals, and the growth counter.
 struct MoveSink<'a> {
     events: &'a mut RoundEvents,
@@ -349,8 +341,9 @@ fn candidates_of(topo: &NeighborTable, k: usize, mask: u8) -> ([CellId; 4], usiz
     (cands, cn)
 }
 
-/// `Route`'s per-cell kernel (Figure 4) for a non-failed, non-target cell:
-/// the `argmin (dist, id)` over readable neighbors, visited in
+/// `Route` (Figure 4) for a non-failed, non-target cell, hand-rolled instead
+/// of calling `route_update` because it is faster (DESIGN.md §9.2): the
+/// `argmin (dist, id)` over readable neighbors, visited in
 /// ascending-`CellId` order ([`SORTED_SLOTS`]) with strict-`<` keep-first
 /// replacement so the id tie-break never has to run. A cut slot reads as a
 /// silent neighbor: `dist = ∞`.
@@ -364,7 +357,7 @@ fn route_core(
     let nbr_idx = &topo.nbr_idx[k];
     let mut best = Dist::Infinity;
     // 4 = "no finite-distance neighbor": both the zero-neighbor case and the
-    // all-∞ case produce (∞, ⊥), exactly like the kernel.
+    // all-∞ case produce (∞, ⊥), exactly like `route_update`.
     let mut best_slot = 4usize;
     for &s in &SORTED_SLOTS {
         let ni = nbr_idx[s];
@@ -390,93 +383,11 @@ fn route_core(
     }
 }
 
-/// `Signal`'s per-cell kernel (Figure 5) for a non-failed cell: computes the
-/// requester mask and the token/signal decision without writing anything.
-#[allow(clippy::too_many_arguments)]
-fn signal_core(
-    topo: &NeighborTable,
-    front: &[CellCore],
-    members: &[Vec<(EntityId, Point)>],
-    cut: u8,
-    params: Params,
-    policy: TokenPolicy,
-    round: u64,
-    k: usize,
-) -> SigOut {
-    let id = topo.ids[k];
-    let nbr_idx = &topo.nbr_idx[k];
-    let mut mask = 0u8;
-    for (s, &ni) in nbr_idx.iter().enumerate() {
-        // A cut slot's request announcement never arrives.
-        if ni == NO_NBR || cut & (1 << s) != 0 {
-            continue;
-        }
-        let ni = ni as usize;
-        if front[ni].next == Some(id) && !members[ni].is_empty() {
-            mask |= 1 << s;
-        }
-    }
-
-    let mut token = front[k].token;
-    // A transient fault may have left a non-neighbor in the token register;
-    // treat it as ⊥ so `Signal` self-stabilizes instead of trusting the
-    // corrupted value.
-    if token.is_some_and(|t| !id.is_neighbor(t)) {
-        token = None;
-    }
-
-    // Idle fast path: no requester and no token means `choose_from` on an
-    // empty candidate set — ⊥ token, ⊥ signal, no event. Most of a
-    // steady-state grid takes this exit; the sparse scheduler's skip
-    // condition is exactly "this exit would run and the registers already
-    // hold its output".
-    if mask == 0 && token.is_none() {
-        return SigOut {
-            mask: 0,
-            token: None,
-            signal: None,
-        };
-    }
-
-    let (cands, cn) = candidates_of(topo, k, mask);
-    let cands = &cands[..cn];
-
-    if token.is_none() {
-        token = policy.choose_from(cands, id, round);
-    }
-
-    let (signal, new_token) = match token {
-        None => (None, None),
-        Some(tok) => {
-            let dir = id
-                .dir_to(tok)
-                .expect("token is always one of the cell's neighbors");
-            if gap_free_toward(params, id, dir, members[k].iter().map(|e| &e.1)) {
-                let rotated = if cn > 1 {
-                    policy.rotate_from(cands, tok, id, round)
-                } else if cn == 1 {
-                    Some(cands[0])
-                } else {
-                    None
-                };
-                (Some(tok), rotated)
-            } else {
-                (None, Some(tok))
-            }
-        }
-    };
-
-    SigOut {
-        mask,
-        token: new_token,
-        signal,
-    }
-}
-
-/// `Move`'s per-cell kernel (Figure 6): advances `members_k`, emitting
-/// events and deferred cross-cell arrivals into `out`. All permission reads
-/// (`signal`, `failed`) come from registers `Move` never writes, and the
-/// only mutation is the cell's own member arena.
+/// `Move` (Figure 6) on cell `k`: checks the grant, then steps each member
+/// through [`kernel::advance`], emitting events and deferred cross-cell
+/// arrivals into `out`. All permission reads (`signal`, `failed`) come from
+/// registers `Move` never writes, and the only mutation is the cell's own
+/// member arena.
 fn move_cell_into(
     config: &SystemConfig,
     topo: &NeighborTable,
@@ -504,36 +415,28 @@ fn move_cell_into(
             return;
         }
     }
-    let dims = config.dims();
     let params = config.params();
-    let v = params.v();
-    let h = params.half_l();
-    let target = config.target();
-    let nxi = dims.index(nx);
+    let to_target = nx == config.target();
+    let nxi = config.dims().index(nx);
     let nc = front[nxi];
     if nc.failed || nc.signal != Some(id) {
         return;
     }
     push_tracked(&mut out.events.moved, id, out.allocs);
-    let boundary = id.boundary(dir);
+    let edge = id.boundary(dir);
     let mut w = 0usize;
     for r in 0..members_k.len() {
         let (eid, pos) = members_k[r];
-        let new_pos = pos.translate(dir, v);
-        let far_edge = new_pos.along(dir.axis()) + h * dir.sign();
-        let crossed = if dir.sign() > 0 {
-            far_edge > boundary
-        } else {
-            far_edge < boundary
-        };
-        if crossed {
-            if nx == target {
+        match kernel::advance(params, dir, edge, pos) {
+            Step::Stay(at) => {
+                members_k[w] = (eid, at);
+                w += 1;
+            }
+            Step::Cross(_) if to_target => {
                 push_tracked(&mut out.events.consumed, eid, out.allocs);
-            } else {
-                // Enter the receiving cell flush at its near edge.
-                let entry_edge = nx.boundary(dir.opposite());
-                let snapped = new_pos.with_along(dir.axis(), entry_edge + h * dir.sign());
-                push_tracked(out.incoming, (nxi as u32, eid, snapped), out.allocs);
+            }
+            Step::Cross(at) => {
+                push_tracked(out.incoming, (nxi as u32, eid, at), out.allocs);
                 push_tracked(
                     &mut out.events.transfers,
                     Transfer {
@@ -544,9 +447,6 @@ fn move_cell_into(
                     out.allocs,
                 );
             }
-        } else {
-            members_k[w] = (eid, new_pos);
-            w += 1;
         }
     }
     members_k.truncate(w);
@@ -1272,9 +1172,9 @@ impl Engine {
         }
     }
 
-    /// Sparse `Route`: runs the kernel on the sorted dirty list against the
-    /// unmodified `front`, buffering only the cells whose routed registers
-    /// change, then writes those back in ascending cell order and
+    /// Sparse `Route`: runs [`route_core`] on the sorted dirty list against
+    /// the unmodified `front`, buffering only the cells whose routed
+    /// registers change, then writes those back in ascending cell order and
     /// propagates dirt: a changed `dist` re-routes the neighbors next round;
     /// a changed `next` feeds their requester masks in **this** round's
     /// `Signal`.
@@ -1333,8 +1233,8 @@ impl Engine {
         route_upd.clear();
     }
 
-    /// Sparse `Signal`: the dense sweep's in-place kernel over the sorted
-    /// dirty list, re-marking sticky cells — anything finishing with a
+    /// Sparse `Signal`: the dense sweep's in-place per-cell step over the
+    /// sorted dirty list, re-marking sticky cells — anything finishing with a
     /// nonzero register must run again next round (the skip precondition
     /// is the idle triple).
     fn signal_sparse(&mut self) {
@@ -1537,8 +1437,10 @@ impl Engine {
         }
     }
 
-    /// `Signal` on cell `k`, in place on `front`; returns whether the cell
-    /// finished with a nonzero register. Safe without a second buffer: it
+    /// `Signal` on cell `k`, in place on `front`: reads the requester mask
+    /// from the neighbor slots and hands the token decision to
+    /// [`kernel::signal`]; returns whether the cell finished with a nonzero
+    /// register. Safe without a second buffer: it
     /// writes only the cell's own `ne_mask`/`token`/`signal` and reads
     /// neighbors' `next` and member arenas (never written here), so the
     /// registers already rewritten for earlier cells are invisible.
@@ -1553,18 +1455,26 @@ impl Engine {
         } else {
             self.link_cuts[k]
         };
-        let out = signal_core(
-            &self.topo,
-            &self.front,
-            &self.members,
-            cut,
-            params,
-            policy,
-            round,
-            k,
-        );
-        let id = self.topo.ids[k];
-        match (out.signal, out.token) {
+        let (topo, front, members) = (&*self.topo, &self.front, &self.members);
+        let id = topo.ids[k];
+        let mut mask = 0u8;
+        for (s, &ni) in topo.nbr_idx[k].iter().enumerate() {
+            // A cut slot's request announcement never arrives.
+            if ni == NO_NBR || cut & (1 << s) != 0 {
+                continue;
+            }
+            let ni = ni as usize;
+            if front[ni].next == Some(id) && !members[ni].is_empty() {
+                mask |= 1 << s;
+            }
+        }
+        let (cands, cn) = candidates_of(topo, k, mask);
+        let (signal, token) =
+            kernel::signal(policy, id, round, front[k].token, &cands[..cn], |dir| {
+                let members = members[k].iter().map(|e| &e.1);
+                kernel::gap_free(params, dir, id.boundary(dir), members)
+            });
+        match (signal, token) {
             (Some(grantee), _) => {
                 push_tracked(
                     &mut self.events.grants,
@@ -1582,13 +1492,13 @@ impl Engine {
             (None, None) => {}
         }
         let c = &mut self.front[k];
-        c.ne_mask = out.mask;
-        c.token = out.token;
-        c.signal = out.signal;
+        c.ne_mask = mask;
+        c.token = token;
+        c.signal = signal;
         if !self.ne_override.is_empty() {
             self.ne_override.retain(|(i, _)| *i != k as u32);
         }
-        out.mask != 0 || out.token.is_some() || out.signal.is_some()
+        mask != 0 || token.is_some() || signal.is_some()
     }
 
     /// `Move` (Figure 6), in place. All permission reads (`signal`,
@@ -1627,7 +1537,6 @@ impl Engine {
         let policy = self.config.source_policy();
         let budget = self.config.entity_budget();
         let sparse = self.mode == ExecMode::Sparse;
-        let d = params.d();
         for &s in self.config.sources() {
             let si = dims.index(s);
             if self.front[si].failed {
@@ -1638,12 +1547,10 @@ impl Engine {
                     continue;
                 }
             }
-            let Some(pos) = policy.candidate(params, s, self.front[si].next) else {
+            let members = self.members[si].iter().map(|e| &e.1);
+            let Some(pos) = policy.place(params, s, self.front[si].next, members) else {
                 continue;
             };
-            if !self.members[si].iter().all(|&(_, q)| sep_ok(pos, q, d)) {
-                continue;
-            }
             let was_empty = self.members[si].is_empty();
             let eid = EntityId(self.next_entity_id);
             self.next_entity_id += 1;
@@ -1723,6 +1630,7 @@ fn elapsed_ns(t0: Instant) -> u64 {
 mod tests {
     use super::*;
     use crate::{update, Params, System};
+    use cellflow_geom::sep_ok;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 

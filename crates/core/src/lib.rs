@@ -53,6 +53,7 @@ pub mod engine;
 mod entity;
 pub mod fault;
 pub mod hash;
+pub mod kernel;
 pub mod mc;
 pub mod monitor;
 mod move_fn;

@@ -7,10 +7,10 @@
 //! concrete placement is an implementation choice; this module provides one
 //! that satisfies the contract.
 
-use cellflow_geom::{sep_ok, Fixed, Point};
+use cellflow_geom::{Fixed, Point};
 use cellflow_grid::CellId;
 
-use crate::{CellState, Params};
+use crate::{kernel, CellState, Params};
 
 /// Where (and whether) a source cell places newly created entities.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -36,39 +36,30 @@ impl SourcePolicy {
     /// * satisfy the center-spacing requirement `d` against every entity
     ///   already in `state.members` (so inserting preserves `Safe`).
     pub fn placement(self, params: Params, id: CellId, state: &CellState) -> Option<Point> {
-        let pos = self.candidate(params, id, state.next)?;
-        let d = params.d();
-        if state.members.values().all(|&q| sep_ok(pos, q, d)) {
-            Some(pos)
-        } else {
-            None
-        }
+        self.place(params, id, state.next, state.members.values())
     }
 
-    /// The geometric half of [`SourcePolicy::placement`]: the position this
-    /// policy would insert at given the cell's routed `next`, *before* the
-    /// spacing check against current members. Split out so the engine can run
-    /// the spacing check against its own entity arenas.
-    pub(crate) fn candidate(
+    /// [`SourcePolicy::placement`] over the cell's routed `next` and any view
+    /// of its members, so the engine can pass its own entity arenas.
+    pub(crate) fn place<'a, I>(
         self,
         params: Params,
         id: CellId,
         next: Option<CellId>,
-    ) -> Option<Point> {
+        members: I,
+    ) -> Option<Point>
+    where
+        I: IntoIterator<Item = &'a Point>,
+    {
         match self {
             SourcePolicy::Disabled => None,
-            SourcePolicy::FarEdge => {
-                let center = id.center();
-                Some(match next.and_then(|n| id.dir_to(n)) {
-                    // Flush against the edge opposite the outgoing direction.
-                    Some(dir) => {
-                        let back = dir.opposite();
-                        let flush = id.boundary(back) - params.half_l() * back.sign();
-                        center.with_along(back.axis(), flush)
-                    }
-                    None => center,
-                })
-            }
+            SourcePolicy::FarEdge => kernel::far_edge(
+                params,
+                id.center(),
+                next.and_then(|n| id.dir_to(n)),
+                |dir| id.boundary(dir),
+                members,
+            ),
         }
     }
 }

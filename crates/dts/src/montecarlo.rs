@@ -200,17 +200,16 @@ where
     results.resize_with(config.walks, || None);
     let walk_ids: Vec<usize> = (0..config.walks).collect();
     let (invariant, initials) = (&invariant, &initials);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (ids, out) in walk_ids.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (&walk, slot) in ids.iter().zip(out.iter_mut()) {
                     let mut rng = XorShift::new(walk_seed(config.seed, walk));
                     *slot = Some(run_walk(sys, invariant, initials, &mut rng, config.depth));
                 }
             });
         }
-    })
-    .expect("walk worker panicked");
+    });
     let mut states_checked = 0usize;
     let mut deadlocked_walks = 0usize;
     for result in results {

@@ -1,7 +1,8 @@
 //! The per-cell node: one cell's state plus the protocol logic, expressed
 //! over *received messages* instead of shared-variable reads.
 
-use cellflow_core::{gap_free_toward, CellState, Corruption, EntityId, SystemConfig};
+use cellflow_core::kernel::{self, Step};
+use cellflow_core::{CellState, Corruption, EntityId, SystemConfig};
 use cellflow_geom::{Dir, Point};
 use cellflow_grid::CellId;
 use cellflow_routing::{route_update, Dist};
@@ -170,41 +171,17 @@ impl CellNode {
             ne_prev.clear();
             ne_prev.extend(&cands[..cn]);
         }
-        let ne_prev = &self.state.ne_prev;
-        let policy = self.config.token_policy();
-        let mut token = self.state.token;
-        // Mirror of the reference `Signal`: a corrupted non-neighbor token
-        // reads as ⊥ rather than being trusted (or panicking below).
-        if token.is_some_and(|t| !self.id.is_neighbor(t)) {
-            token = None;
-        }
-        if token.is_none() {
-            token = policy.choose(ne_prev, self.id, self.round);
-        }
-        let (signal, new_token) = match token {
-            None => (None, None),
-            Some(tok) => {
-                let dir = self.id.dir_to(tok).expect("token is a neighbor");
-                if gap_free_toward(
-                    self.config.params(),
-                    self.id,
-                    dir,
-                    self.state.members.values(),
-                ) {
-                    let rotated = if ne_prev.len() > 1 {
-                        policy.rotate(ne_prev, tok, self.id, self.round)
-                    } else if ne_prev.len() == 1 {
-                        ne_prev.first().copied()
-                    } else {
-                        None
-                    };
-                    (Some(tok), rotated)
-                } else {
-                    (None, Some(tok))
-                }
-            }
-        };
-        self.state.token = new_token;
+        let (id, params) = (self.id, self.config.params());
+        let members = &self.state.members;
+        let (signal, token) = kernel::signal(
+            self.config.token_policy(),
+            id,
+            self.round,
+            self.state.token,
+            &cands[..cn],
+            |dir| kernel::gap_free(params, dir, id.boundary(dir), members.values()),
+        );
+        self.state.token = token;
         self.state.signal = signal;
     }
 
@@ -245,32 +222,26 @@ impl CellNode {
         }
         let dir = self.id.dir_to(nx).expect("next is a neighbor");
         let params = self.config.params();
-        let (v, h) = (params.v(), params.half_l());
-        let boundary = self.id.boundary(dir);
+        let edge = self.id.boundary(dir);
         let to_target = nx == self.config.target();
         let consumed = &mut self.consumed;
         // Ascending id order, as the reference `Move` visits members.
-        self.state.members.retain(|&eid, pos| {
-            let new_pos = pos.translate(dir, v);
-            let far_edge = new_pos.along(dir.axis()) + h * dir.sign();
-            let crossed = if dir.sign() > 0 {
-                far_edge > boundary
-            } else {
-                far_edge < boundary
-            };
-            if !crossed {
-                *pos = new_pos;
-                return true;
-            }
-            if to_target {
-                *consumed += 1;
-            } else {
-                let entry = nx.boundary(dir.opposite());
-                let snapped = new_pos.with_along(dir.axis(), entry + h * dir.sign());
-                outgoing.push((nx, eid, snapped));
-            }
-            false
-        });
+        self.state
+            .members
+            .retain(|&eid, pos| match kernel::advance(params, dir, edge, *pos) {
+                Step::Stay(at) => {
+                    *pos = at;
+                    true
+                }
+                Step::Cross(_) if to_target => {
+                    *consumed += 1;
+                    false
+                }
+                Step::Cross(at) => {
+                    outgoing.push((nx, eid, at));
+                    false
+                }
+            });
     }
 
     /// Incorporates entities that crossed into this cell this round.

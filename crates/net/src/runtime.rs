@@ -3,6 +3,8 @@
 //! barrier-synchronized rounds, scripted faults, and an optional monitor
 //! collector.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,7 +14,6 @@ use cellflow_core::{CellState, Dist, EntityId, SystemConfig, SystemState};
 use cellflow_geom::Point;
 use cellflow_grid::CellId;
 use cellflow_telemetry::{cell_ordinal, Counter, Event, SpanBuilder, SpanKind, Tracer};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::message::{Envelope, Message};
 use crate::node::{CellNode, MAX_DEGREE};
@@ -52,7 +53,8 @@ pub struct NetReport {
 /// Error from a message-passing run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetError {
-    /// A worker thread panicked (carries the panic message when printable).
+    /// A worker or the monitor collector panicked (carries the panic
+    /// message when printable).
     NodePanicked(String),
     /// A round failed to complete within the round timeout: some cell
     /// stopped responding without a scripted hand-over (e.g. a
@@ -85,7 +87,7 @@ pub enum NetError {
 impl core::fmt::Display for NetError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            NetError::NodePanicked(msg) => write!(f, "a worker thread panicked: {msg}"),
+            NetError::NodePanicked(msg) => write!(f, "a deployment thread panicked: {msg}"),
             NetError::Timeout {
                 round,
                 cell,
@@ -335,7 +337,7 @@ impl NetSystem {
     ///
     /// # Errors
     ///
-    /// [`NetError::NodePanicked`] if a worker thread panicked;
+    /// [`NetError::NodePanicked`] if a worker thread or a monitor panicked;
     /// [`NetError::Timeout`] if a cell went silent without a scripted
     /// hand-over (e.g. [`FaultKind::Kill`]) and the survivors timed out.
     pub fn run(&self, rounds: u64) -> Result<NetReport, NetError> {
@@ -441,10 +443,10 @@ impl NetSystem {
             barrier = barrier.with_completion_log();
         }
         let barrier = barrier;
-        let (result_tx, result_rx) = unbounded::<(CellId, CellState, u64, u64)>();
-        let (snap_tx, snap_rx) = unbounded::<Snapshot>();
+        let (result_tx, result_rx) = channel::<(CellId, CellState, u64, u64)>();
+        let (snap_tx, snap_rx) = channel::<Snapshot>();
 
-        let outcome = crossbeam::thread::scope(|scope| {
+        let outcome = scope_catching(|scope| {
             let ctx = RunCtx {
                 config: &self.config,
                 plan: &effective,
@@ -490,7 +492,7 @@ impl NetSystem {
                         }
                     })
                     .collect();
-                scope.spawn(move |_| drive_shard(ctx, slots));
+                scope.spawn(move || drive_shard(ctx, slots));
             }
             drop(result_tx);
             drop(snap_tx);
@@ -510,7 +512,7 @@ impl NetSystem {
                 let partition = schedule.as_ref();
                 let tracer = self.tracer;
                 let barrier = &barrier;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     collect_rounds(
                         config,
                         plan,
@@ -549,7 +551,7 @@ impl NetSystem {
                     }
                     // All workers exited without all cells reporting: the
                     // barrier poison tells us why; otherwise a thread
-                    // panicked (the scope join will surface the payload).
+                    // panicked (leaving the scope will surface it).
                     Err(_) => match barrier.poison() {
                         Some(p) => {
                             let round = p.round();
@@ -588,9 +590,7 @@ impl NetSystem {
             };
 
             let (violations, monitor_summaries, recorder_back) = match collector {
-                Some(handle) => handle
-                    .join()
-                    .unwrap_or_else(|_| (Vec::new(), vec!["collector panicked".to_string()], None)),
+                Some(handle) => handle.join().unwrap_or_else(|panic| resume_unwind(panic)),
                 None => (Vec::new(), Vec::new(), None),
             };
 
@@ -697,6 +697,16 @@ impl NetSystem {
         }
         Ok((report, recording))
     }
+}
+
+/// [`std::thread::scope`], with a panic in any scoped thread (or in `f`)
+/// caught once every thread is joined and returned as `Err(payload)`: the
+/// run turns it into [`NetError::NodePanicked`].
+fn scope_catching<'env, F, T>(f: F) -> std::thread::Result<T>
+where
+    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
+{
+    catch_unwind(AssertUnwindSafe(|| std::thread::scope(f)))
 }
 
 /// Run-wide immutable context shared by every worker.
@@ -1942,8 +1952,8 @@ mod tests {
             mailbox: Arc::new(Mailbox::new()),
             spare: Vec::new(),
             links: vec![(to, PerfectTransport.link(from, to, Arc::clone(&inbox)))],
-            result_tx: unbounded().0,
-            snap_tx: unbounded().0,
+            result_tx: channel().0,
+            snap_tx: channel().0,
             messages: Counter::noop(),
         };
         let tracer = Tracer::new(7);
@@ -2163,5 +2173,37 @@ mod tests {
             .monitor_summaries
             .iter()
             .any(|s| s.contains("stabilized")));
+    }
+
+    /// A monitor panics on the collector thread at round 5.
+    struct PanickingMonitor;
+
+    impl Monitor for PanickingMonitor {
+        fn name(&self) -> &'static str {
+            "panicking"
+        }
+
+        fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
+            assert!(ctx.round < 5, "monitor gave up at round {}", ctx.round);
+            Vec::new()
+        }
+
+        fn summary(&self) -> String {
+            String::new()
+        }
+    }
+
+    #[test]
+    fn a_panicking_monitor_fails_the_run_as_node_panicked() {
+        let err = NetSystem::new(config(3))
+            .unwrap()
+            .run_monitored(20, vec![Box::new(PanickingMonitor)])
+            .unwrap_err();
+        match err {
+            NetError::NodePanicked(msg) => {
+                assert!(msg.contains("monitor gave up at round 5"), "{msg}")
+            }
+            other => panic!("expected NodePanicked, got {other:?}"),
+        }
     }
 }

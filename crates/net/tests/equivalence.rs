@@ -3,7 +3,7 @@
 //! discrete-transition-system model faithfully captures a message-passing
 //! implementation.
 
-use cellflow_core::{CellState, Params, System, SystemConfig, SystemState};
+use cellflow_core::{update, CellState, Params, System, SystemConfig, SystemState};
 use cellflow_geom::Point;
 use cellflow_grid::{CellId, GridDims};
 use cellflow_net::NetSystem;
@@ -184,4 +184,45 @@ fn randomized_token_policy_equivalent() {
     let (ref_state, ref_consumed, _) = reference_run(&cfg, 150, &[]);
     assert_eq!(erased(&net.state), erased(&ref_state));
     assert_eq!(net.consumed, ref_consumed);
+}
+
+/// The pure `update` composition. The engine behind [`System`] and the
+/// deployment's nodes share their `Signal` and `Move` rules
+/// (`cellflow_core::kernel`), so only this oracle, whose phases share none
+/// of those rules, can tell a bug in them.
+fn oracle_run(config: &SystemConfig, rounds: u64) -> (SystemState, u64) {
+    let mut state = config.initial_state();
+    let mut consumed = 0;
+    for round in 0..rounds {
+        let (next, events) = update(config, &state, round);
+        consumed += events.consumed.len() as u64;
+        state = next;
+    }
+    (state, consumed)
+}
+
+/// The deployment against the pure phases directly: two contending sources
+/// under every token policy.
+#[test]
+fn deployment_matches_the_pure_oracle() {
+    use cellflow_core::TokenPolicy;
+    for policy in [
+        TokenPolicy::RoundRobin,
+        TokenPolicy::FixedPriority,
+        TokenPolicy::Randomized { salt: 0xFEED },
+    ] {
+        let cfg = SystemConfig::new(
+            GridDims::square(5),
+            CellId::new(2, 2),
+            Params::from_milli(200, 50, 150).unwrap(),
+        )
+        .unwrap()
+        .with_source(CellId::new(0, 2))
+        .with_source(CellId::new(2, 0))
+        .with_token_policy(policy);
+        let net = NetSystem::new(cfg.clone()).unwrap().run(150).unwrap();
+        let (oracle, consumed) = oracle_run(&cfg, 150);
+        assert_eq!(erased(&net.state), erased(&oracle), "{policy:?}");
+        assert_eq!(net.consumed, consumed, "{policy:?}");
+    }
 }

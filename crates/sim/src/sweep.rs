@@ -37,16 +37,15 @@ where
     let mut results: Vec<Option<R>> = Vec::new();
     results.resize_with(items.len(), || None);
     let f = &f;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (input, output) in items.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (item, slot) in input.iter().zip(output.iter_mut()) {
                     *slot = Some(f(item));
                 }
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
     results
         .into_iter()
         .map(|r| r.expect("every index was processed"))

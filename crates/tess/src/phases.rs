@@ -1,44 +1,21 @@
 //! The protocol phases over a rectangular tessellation.
 //!
-//! Identical to `cellflow-core`'s phases except that boundary coordinates,
-//! centers, and margins come from the [`Tessellation`] instead of integer
-//! cell indices. With the unit tessellation the behavior is bit-identical
-//! (equivalence-tested in `tests/unit_equivalence.rs`).
+//! `Signal` and `Move` call `cellflow-core`'s per-cell rules
+//! ([`cellflow_core::kernel`]), as the engine and the net node do, and
+//! `Route` calls `route_update`, as the net node does. Boundary coordinates
+//! and centers come from the [`Tessellation`](crate::Tessellation) instead
+//! of integer cell indices. With the unit tessellation the behavior is
+//! bit-identical (equivalence-tested in `tests/unit_equivalence.rs`).
 
 use std::collections::BTreeSet;
 
-use cellflow_core::{CellState, EntityId, Params, SystemState, TokenPolicy};
-use cellflow_geom::{Dir, Point};
+use cellflow_core::kernel::{self, Step};
+use cellflow_core::{CellState, EntityId, SystemState, TokenPolicy};
+use cellflow_geom::Point;
 use cellflow_grid::CellId;
 use cellflow_routing::route_update;
 
 use crate::system::TessSystemConfig;
-use crate::Tessellation;
-
-/// The tessellation gap check: `true` if the `d`-strip of cell `id` along its
-/// boundary facing `dir` is free of entity footprints.
-pub(crate) fn gap_free_toward_tess<'a, I>(
-    params: Params,
-    tess: &Tessellation,
-    id: CellId,
-    dir: Dir,
-    members: I,
-) -> bool
-where
-    I: IntoIterator<Item = &'a Point>,
-{
-    let boundary = tess.boundary(id, dir);
-    let d = params.d();
-    let h = params.half_l();
-    members.into_iter().all(|p| {
-        let edge = p.along(dir.axis()) + h * dir.sign();
-        if dir.sign() > 0 {
-            edge <= boundary - d
-        } else {
-            edge >= boundary + d
-        }
-    })
-}
 
 /// What one tessellation round did.
 #[derive(Clone, Debug)]
@@ -85,11 +62,13 @@ fn route_tess(config: &TessSystemConfig, state: &SystemState) -> SystemState {
 }
 
 fn signal_tess(config: &TessSystemConfig, state: &SystemState, round: u64) -> SystemState {
-    let dims = config.tess.dims();
+    let (tess, params) = (&config.tess, config.params);
+    let dims = tess.dims();
     let policy = TokenPolicy::RoundRobin;
     let mut out = state.clone();
     for id in dims.iter() {
-        if state.cell(dims, id).failed {
+        let cell = state.cell(dims, id);
+        if cell.failed {
             continue;
         }
         let ne_prev: BTreeSet<CellId> = dims
@@ -99,37 +78,13 @@ fn signal_tess(config: &TessSystemConfig, state: &SystemState, round: u64) -> Sy
                 nbr.next == Some(id) && !nbr.members.is_empty()
             })
             .collect();
-        let mut token = state.cell(dims, id).token;
-        if token.is_none() {
-            token = policy.choose(&ne_prev, id, round);
-        }
-        let (signal, new_token) = match token {
-            None => (None, None),
-            Some(tok) => {
-                let dir = id.dir_to(tok).expect("token is a neighbor");
-                if gap_free_toward_tess(
-                    config.params,
-                    &config.tess,
-                    id,
-                    dir,
-                    state.cell(dims, id).members.values(),
-                ) {
-                    let rotated = if ne_prev.len() > 1 {
-                        policy.rotate(&ne_prev, tok, id, round)
-                    } else if ne_prev.len() == 1 {
-                        ne_prev.first().copied()
-                    } else {
-                        None
-                    };
-                    (Some(tok), rotated)
-                } else {
-                    (None, Some(tok))
-                }
-            }
-        };
+        let cands: Vec<CellId> = ne_prev.iter().copied().collect();
+        let (signal, token) = kernel::signal(policy, id, round, cell.token, &cands, |dir| {
+            kernel::gap_free(params, dir, tess.boundary(id, dir), cell.members.values())
+        });
         let c = out.cell_mut(dims, id);
         c.ne_prev = ne_prev;
-        c.token = new_token;
+        c.token = token;
         c.signal = signal;
     }
     out
@@ -138,7 +93,6 @@ fn signal_tess(config: &TessSystemConfig, state: &SystemState, round: u64) -> Sy
 fn move_tess(config: &TessSystemConfig, state: &SystemState) -> TessOutcome {
     let dims = config.tess.dims();
     let params = config.params;
-    let (v, h) = (params.v(), params.half_l());
 
     let mut out = state.clone();
     let mut consumed = Vec::new();
@@ -157,28 +111,22 @@ fn move_tess(config: &TessSystemConfig, state: &SystemState) -> TessOutcome {
             continue;
         }
         let dir = id.dir_to(nx).expect("next is a neighbor");
-        let boundary = config.tess.boundary(id, dir);
+        let edge = config.tess.boundary(id, dir);
         for (&eid, &pos) in &cell.members {
-            let new_pos = pos.translate(dir, v);
-            let far_edge = new_pos.along(dir.axis()) + h * dir.sign();
-            let crossed = if dir.sign() > 0 {
-                far_edge > boundary
-            } else {
-                far_edge < boundary
-            };
             let members = &mut out.cell_mut(dims, id).members;
-            if crossed {
-                members.remove(&eid);
-                if nx == config.target {
-                    consumed.push(eid);
-                } else {
-                    let entry = config.tess.boundary(nx, dir.opposite());
-                    let snapped = new_pos.with_along(dir.axis(), entry + h * dir.sign());
-                    incoming.push((nx, eid, snapped));
-                    transfers.push((eid, id, nx));
+            match kernel::advance(params, dir, edge, pos) {
+                Step::Stay(at) => {
+                    members.insert(eid, at);
                 }
-            } else {
-                members.insert(eid, new_pos);
+                Step::Cross(at) => {
+                    members.remove(&eid);
+                    if nx == config.target {
+                        consumed.push(eid);
+                    } else {
+                        incoming.push((nx, eid, at));
+                        transfers.push((eid, id, nx));
+                    }
+                }
             }
         }
     }
@@ -193,19 +141,14 @@ fn move_tess(config: &TessSystemConfig, state: &SystemState) -> TessOutcome {
             continue;
         }
         let cell = out.cell(dims, s);
-        let pos = match cell.next.and_then(|n| s.dir_to(n)) {
-            Some(dir) => {
-                let back = dir.opposite();
-                let flush = config.tess.boundary(s, back) - h * back.sign();
-                config.tess.center(s).with_along(back.axis(), flush)
-            }
-            None => config.tess.center(s),
-        };
-        if cell
-            .members
-            .values()
-            .all(|&q| cellflow_geom::sep_ok(pos, q, params.d()))
-        {
+        let placement = kernel::far_edge(
+            params,
+            config.tess.center(s),
+            cell.next.and_then(|n| s.dir_to(n)),
+            |dir| config.tess.boundary(s, dir),
+            cell.members.values(),
+        );
+        if let Some(pos) = placement {
             let eid = EntityId(out.next_entity_id);
             out.next_entity_id += 1;
             out.cell_mut(dims, s).members.insert(eid, pos);
@@ -237,7 +180,8 @@ pub(crate) fn initial_state(config: &TessSystemConfig) -> SystemState {
 mod tests {
     use super::*;
     use crate::{TessSystem, Tessellation};
-    use cellflow_geom::Fixed;
+    use cellflow_core::Params;
+    use cellflow_geom::{Dir, Fixed};
 
     fn params() -> Params {
         Params::from_milli(250, 50, 200).unwrap()
@@ -305,16 +249,18 @@ mod tests {
         let p = params();
         let tess = Tessellation::new(vec![Fixed::from_milli(2_000)], vec![Fixed::ONE], p).unwrap();
         let id = CellId::new(0, 0);
+        let gap_free =
+            |dir: Dir, members: &[Point]| kernel::gap_free(p, dir, tess.boundary(id, dir), members);
         // Entity at x = 1.0: far from both boundaries of the 2.0-wide cell.
         let mid = [Point::new(Fixed::ONE, Fixed::HALF)];
-        assert!(gap_free_toward_tess(p, &tess, id, Dir::East, &mid));
-        assert!(gap_free_toward_tess(p, &tess, id, Dir::West, &mid));
+        assert!(gap_free(Dir::East, &mid));
+        assert!(gap_free(Dir::West, &mid));
         // Entity flush at x = 2.0 − l/2 blocks east only.
         let east = [Point::new(
             Fixed::from_milli(2_000) - p.half_l(),
             Fixed::HALF,
         )];
-        assert!(!gap_free_toward_tess(p, &tess, id, Dir::East, &east));
-        assert!(gap_free_toward_tess(p, &tess, id, Dir::West, &east));
+        assert!(!gap_free(Dir::East, &east));
+        assert!(gap_free(Dir::West, &east));
     }
 }
