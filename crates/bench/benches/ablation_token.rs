@@ -1,7 +1,7 @@
-//! Ablation A: token policy. Measures (a) per-round cost and (b) achieved
-//! throughput of RoundRobin vs Randomized vs the rotation-free FixedPriority,
-//! on a two-flow merge — quantifying what the paper's fairness rule
-//! (Figure 5, lines 10–12) costs and buys.
+//! Ablation A's per-round cost: RoundRobin vs Randomized vs the
+//! rotation-free FixedPriority on a two-flow merge. The achieved throughput
+//! (what the paper's fairness rule, Figure 5 lines 10–12, buys) is printed
+//! by the `ablations` binary.
 
 use cellflow_core::{Params, SystemConfig, TokenPolicy};
 use cellflow_grid::{CellId, GridDims};
@@ -40,25 +40,5 @@ fn bench_token_policies(c: &mut Criterion) {
     group.finish();
 }
 
-fn report_throughput_ablation(c: &mut Criterion) {
-    // Not a timing benchmark: run once per policy and print the achieved
-    // throughput so `cargo bench` output records the ablation numbers.
-    for (name, policy) in [
-        ("round_robin", TokenPolicy::RoundRobin),
-        ("randomized", TokenPolicy::Randomized { salt: 7 }),
-        ("fixed_priority", TokenPolicy::FixedPriority),
-    ] {
-        let mut sim = Simulation::new(merge_config(policy), 1).with_safety_checks(false);
-        sim.run(2_500);
-        println!(
-            "ablation_token throughput[{name}] = {:.4} (blocked/round {:.2})",
-            sim.metrics().throughput(),
-            sim.metrics().mean_blocked()
-        );
-    }
-    // Keep criterion happy with a trivial measured function.
-    c.bench_function("ablation_report_done", |b| b.iter(|| 0u8));
-}
-
-criterion_group!(benches, bench_token_policies, report_throughput_ablation);
+criterion_group!(benches, bench_token_policies);
 criterion_main!(benches);

@@ -1,6 +1,6 @@
-//! Benchmarks of the paper-§V extensions: 3-D airspace throughput, the
-//! multi-commodity crossing, and the occupancy-capacity ablation that
-//! motivated the multiflow defaults.
+//! Benchmarks of the paper-§V extensions: 3-D airspace rounds, the
+//! multi-commodity crossing, and the deployment's overhead. The capacity
+//! and cell-size ablation tables are printed by the `ablations` binary.
 
 use cellflow_core::Params;
 use cellflow_cube::{CellId3, Dims3, System3, SystemConfig3};
@@ -18,21 +18,6 @@ fn cube_tower(n: u16) -> SystemConfig3 {
     )
     .unwrap()
     .with_source(CellId3::new(0, 0, 0))
-}
-
-fn antagonistic_multi(cap: usize) -> MultiConfig {
-    MultiConfig::new(
-        GridDims::square(7),
-        Params::from_milli(200, 50, 150).unwrap(),
-    )
-    .unwrap()
-    .with_flow(FlowType(0), CellId::new(0, 3), CellId::new(6, 3))
-    .unwrap()
-    .with_flow(FlowType(1), CellId::new(3, 0), CellId::new(3, 6))
-    .unwrap()
-    .with_flow(FlowType(2), CellId::new(6, 4), CellId::new(0, 4))
-    .unwrap()
-    .with_cell_capacity(cap)
 }
 
 fn bench_cube(c: &mut Criterion) {
@@ -90,54 +75,6 @@ fn bench_multiflow(c: &mut Criterion) {
     group.finish();
 }
 
-fn report_capacity_ablation(c: &mut Criterion) {
-    // Achieved deliveries per capacity over a long horizon: the fluidity
-    // cliff between cap 1 and cap ≥ 2 under antagonistic crossing load.
-    for cap in [1usize, 2, 4, 8] {
-        let mut sys = MultiSystem::new(antagonistic_multi(cap));
-        sys.run(5_000);
-        let total: u64 = (0..3u8).map(|t| sys.consumed(FlowType(t))).sum();
-        println!("ablation_capacity cap={cap}: {total} delivered over 5000 rounds");
-    }
-    c.bench_function("ablation_capacity_done", |b| b.iter(|| 0u8));
-}
-
-fn report_cell_size_ablation(c: &mut Criterion) {
-    // Cell-size ablation on the rectangular tessellation: a 6-cell corridor
-    // whose interior cells are stretched. Steady-state throughput turns out
-    // to be roughly INDEPENDENT of cell size: wider cells take longer per
-    // hop but carry proportionally longer trains of entities per grant (the
-    // coupling moves the whole cell's population at once), so the
-    // boundary-crossing rate — set by d and v — dominates. Latency of the
-    // first delivery does grow with size (see the unit test
-    // `wide_cell_takes_longer_to_traverse`).
-    use cellflow_geom::Fixed;
-    use cellflow_grid::CellId;
-    use cellflow_tess::{TessSystem, Tessellation};
-    let params = Params::from_milli(250, 50, 200).unwrap();
-    for stretch_milli in [1_000i64, 1_500, 2_000, 3_000] {
-        let widths = vec![
-            Fixed::ONE,
-            Fixed::from_milli(stretch_milli),
-            Fixed::from_milli(stretch_milli),
-            Fixed::from_milli(stretch_milli),
-            Fixed::from_milli(stretch_milli),
-            Fixed::ONE,
-        ];
-        let tess = Tessellation::new(widths, vec![Fixed::ONE], params).unwrap();
-        let mut sys = TessSystem::new(tess, CellId::new(5, 0), params)
-            .unwrap()
-            .with_source(CellId::new(0, 0));
-        sys.run(2_500);
-        println!(
-            "ablation_cell_size stretch={}: throughput {:.4}",
-            stretch_milli as f64 / 1_000.0,
-            sys.consumed_total() as f64 / 2_500.0
-        );
-    }
-    c.bench_function("ablation_cell_size_done", |b| b.iter(|| 0u8));
-}
-
 fn bench_deployment_overhead(c: &mut Criterion) {
     // Shared-variable reference vs the real message-passing deployment
     // (threads + channels + barriers), same workload: the price of actually
@@ -175,8 +112,6 @@ criterion_group!(
     benches,
     bench_cube,
     bench_multiflow,
-    bench_deployment_overhead,
-    report_capacity_ablation,
-    report_cell_size_ablation
+    bench_deployment_overhead
 );
 criterion_main!(benches);

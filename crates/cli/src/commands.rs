@@ -250,7 +250,7 @@ fn run(flags: &Flags) -> Result<(), String> {
     for round in 0..rounds {
         sim.step();
         if show_heatmap {
-            heat.record(sim.system().config(), sim.system().state());
+            heat.record(sim.system().config(), sim.system().view());
         }
         if watch && round % every.max(1) == 0 {
             println!("\x1B[2J\x1B[H-- round {round} --");

@@ -6,6 +6,8 @@ use std::process::ExitCode;
 
 mod args;
 mod commands;
+#[cfg(test)]
+mod parse_fuzz;
 mod record;
 
 fn main() -> ExitCode {

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 use cellflow_grid::{connectivity, CellId};
 use cellflow_routing::{route_update, Dist};
 
-use crate::{CellState, SystemConfig, SystemState};
+use crate::{StateView, SystemConfig, SystemState};
 
 /// The paper's path distance `ρ(x, ⟨i,j⟩)`: hop distance to the target
 /// through non-faulty cells, `None` for `∞`.
@@ -43,33 +43,34 @@ pub fn tc(config: &SystemConfig, state: &SystemState) -> HashSet<CellId> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn routing_stabilized(config: &SystemConfig, state: &SystemState) -> bool {
-    let dims = config.dims();
     let rho = rho(config, state);
-    dims.iter()
-        .all(|id| cell_stabilized(config, &rho, id, state.cell(dims, id)))
+    let view = StateView::from(state);
+    (0..view.cell_count()).all(|k| cell_stabilized(config, &rho, view, k))
 }
 
-/// The per-cell clause of [`routing_stabilized`] under the path distances
-/// `rho`: a failed cell is stable (`fail()` pinned it), a live one holds
-/// `dist = ρ` and, off the target, the `(dist, id)`-argmin neighbor as
-/// `next`. It reads only the cell's own registers and `ρ`, so while no
-/// `failed` flag flips, a cell's verdict changes only with its registers.
+/// The per-cell clause of [`routing_stabilized`] for the cell at arena
+/// index `k` under the path distances `rho`: a failed cell is stable
+/// (`fail()` pinned it), a live one holds `dist = ρ` and, off the target,
+/// the `(dist, id)`-argmin neighbor as `next`. It reads only the cell's own
+/// registers and `ρ`, so while no `failed` flag flips, a cell's verdict
+/// changes only with its registers.
 pub(crate) fn cell_stabilized(
     config: &SystemConfig,
     rho: &connectivity::Distances,
-    id: CellId,
-    cell: &CellState,
+    state: StateView<'_>,
+    k: usize,
 ) -> bool {
+    let id = config.dims().id_at(k);
     let expected_dist = |id: CellId| -> Dist {
         match rho.get(id) {
             Some(d) => Dist::Finite(d),
             None => Dist::Infinity,
         }
     };
-    if cell.failed {
+    if state.failed(k) {
         return true;
     }
-    if cell.dist != expected_dist(id) {
+    if state.dist(k) != expected_dist(id) {
         return false;
     }
     if id == config.target() {
@@ -79,7 +80,7 @@ pub(crate) fn cell_stabilized(
         config.dims().neighbors(id).map(|n| (n, expected_dist(n))),
         config.dist_cap(),
     );
-    cell.next == want_next
+    state.next(k) == want_next
 }
 
 /// The number of entities sitting on target-connected cells — the entities

@@ -172,7 +172,7 @@ pub fn certify(
         sys.step();
         let ctx = MonitorCtx {
             config: sys.config(),
-            state: sys.state(),
+            state: sys.view(),
             round: sys.round(),
             failed: &[],
             recovered: &[],
@@ -453,7 +453,7 @@ pub fn certify_links(
         sys.step();
         let ctx = MonitorCtx {
             config: sys.config(),
-            state: sys.state(),
+            state: sys.view(),
             round: sys.round(),
             failed: &[],
             recovered: &[],

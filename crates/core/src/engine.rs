@@ -57,7 +57,8 @@ use cellflow_telemetry::{PhaseTimers, SchedulerMetrics};
 
 use crate::kernel::{self, Step};
 use crate::{
-    CellState, EntityId, Params, RoundEvents, SystemConfig, SystemState, TokenPolicy, Transfer,
+    CellState, EntityId, Params, RoundEvents, StateView, SystemConfig, SystemState, TokenPolicy,
+    Transfer,
 };
 
 /// Sentinel for "no neighbor in this direction" in [`NeighborTable`].
@@ -456,8 +457,9 @@ fn move_cell_into(
 /// layout and aliasing argument.
 ///
 /// Drive it directly for maximum throughput (benchmarks do), or through
-/// [`System`](crate::System), which keeps a [`SystemState`] mirror in sync
-/// for monitors, safety checks and serialization.
+/// [`System`](crate::System), which adds the round bookkeeping and exports
+/// a [`SystemState`] only on demand. Monitors and safety checks read the
+/// arenas in place through [`Engine::view`].
 ///
 /// ```
 /// use cellflow_core::engine::Engine;
@@ -848,6 +850,36 @@ impl Engine {
             self.ne_override.retain(|(i, _)| *i != k as u32);
         }
         self.import_cell(k, cs);
+        self.schedule_edit(k);
+    }
+
+    /// Applies the paper's `fail` to the cell at arena index `k` in place
+    /// (see [`SystemState::fail`]) and schedules it as
+    /// [`Engine::load_cell`] does.
+    pub(crate) fn fail_cell(&mut self, k: usize) {
+        let c = &mut self.front[k];
+        c.failed = true;
+        c.dist = Dist::Infinity;
+        c.next = None;
+        c.signal = None;
+        self.schedule_edit(k);
+    }
+
+    /// Applies the §IV recovery to the cell at arena index `k` in place
+    /// (see [`SystemState::recover`]) and schedules it as
+    /// [`Engine::load_cell`] does.
+    pub(crate) fn recover_cell(&mut self, k: usize) {
+        let c = &mut self.front[k];
+        c.failed = false;
+        if k == self.topo.target_index {
+            c.dist = Dist::Finite(0);
+        }
+        self.schedule_edit(k);
+    }
+
+    /// Schedules an edit of cell `k` made between rounds (see
+    /// [`Engine::load_cell`]).
+    fn schedule_edit(&mut self, k: usize) {
         self.sched.changed_all = true;
         if self.mode == ExecMode::Dense || self.sched.mark_all {
             return;
@@ -923,8 +955,8 @@ impl Engine {
     }
 
     /// [`Engine::store_state`] restricted to the cells at arena indices
-    /// `cells`: with [`Engine::changed_cells`], it brings a mirror of the
-    /// previous round's state up to date in O(changed).
+    /// `cells`: with [`Engine::changed_cells`], it brings a copy of the
+    /// previous round's state (the recorder's) up to date in O(changed).
     ///
     /// # Panics
     ///
@@ -999,17 +1031,41 @@ impl Engine {
         (!self.sched.changed_all).then_some(self.sched.touch.list.as_slice())
     }
 
-    /// Allocates and returns a fresh [`SystemState`] mirror (convenience for
-    /// tests; hot paths should reuse one via [`Engine::store_state`]).
+    /// Allocates and returns a fresh [`SystemState`] holding the current
+    /// state (for reports, final checks and tests; per-round readers take
+    /// [`Engine::view`]).
     pub fn export_state(&self) -> SystemState {
         let mut state = self.config.initial_state();
         self.store_state(&mut state);
         state
     }
 
+    /// The state of the cell at arena index `k` as a [`CellState`].
+    pub(crate) fn export_cell(&self, k: usize) -> CellState {
+        let mut cs = CellState::initial();
+        self.store_cell(k, &mut cs);
+        cs
+    }
+
+    /// A read-only view of the arenas: what monitors and other per-round
+    /// readers take instead of an exported state.
+    pub fn view(&self) -> StateView<'_> {
+        StateView::of_engine(self)
+    }
+
+    /// The cell registers, by arena index.
+    pub(crate) fn cores(&self) -> &[CellCore] {
+        &self.front
+    }
+
+    /// The per-cell entity arenas, sorted by identifier.
+    pub(crate) fn arenas(&self) -> &[Vec<(EntityId, Point)>] {
+        &self.members
+    }
+
     /// Executes one atomic `update` transition — `Route; Signal; Move` — and
     /// returns the round's events. Equivalent, state for state and event for
-    /// event, to [`update`](crate::update) on the mirrored representation,
+    /// event, to [`update`](crate::update) on the exported representation,
     /// in both [`ExecMode`]s.
     pub fn step(&mut self) -> &RoundEvents {
         self.events.consumed.clear();

@@ -67,6 +67,7 @@ mod source;
 mod system;
 mod token;
 mod update;
+mod view;
 
 pub use cell::CellState;
 pub use cellflow_routing::Dist;
@@ -95,3 +96,4 @@ pub use source::SourcePolicy;
 pub use system::{ConfigError, System, SystemConfig, SystemState};
 pub use token::TokenPolicy;
 pub use update::{update, RoundEvents};
+pub use view::{Members, StateView};

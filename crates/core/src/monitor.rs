@@ -38,7 +38,7 @@ use std::collections::{BTreeSet, VecDeque};
 use cellflow_grid::{path_distances, CellId, Distances};
 use cellflow_routing::Dist;
 
-use crate::{analysis, safety, SystemConfig, SystemState};
+use crate::{analysis, safety, StateView, SystemConfig};
 
 /// Everything a monitor may inspect about one completed round.
 ///
@@ -49,8 +49,9 @@ use crate::{analysis, safety, SystemConfig, SystemState};
 pub struct MonitorCtx<'a> {
     /// The static configuration.
     pub config: &'a SystemConfig,
-    /// The end-of-round state.
-    pub state: &'a SystemState,
+    /// The end-of-round state: the engine's arenas in the shared-variable
+    /// runtimes, the assembled cells on the net collector.
+    pub state: StateView<'a>,
     /// Rounds completed so far (1-based).
     pub round: u64,
     /// Cells crashed at the start of this round.
@@ -119,8 +120,8 @@ impl Occupied {
         if scope.is_none() {
             self.cells.clear();
         }
-        for_each_cell(scope, ctx.state.cells.len(), |k| {
-            if ctx.state.cells[k].members.is_empty() {
+        for_each_cell(scope, ctx.state.cell_count(), |k| {
+            if ctx.state.occupancy(k) == 0 {
                 self.cells.remove(&(k as u32));
             } else {
                 self.cells.insert(k as u32);
@@ -249,7 +250,8 @@ pub struct RoutingMonitor {
 fn check_routing_cell(ctx: &MonitorCtx<'_>, k: usize, out: &mut Vec<MonitorViolation>) {
     let dims = ctx.config.dims();
     let id = dims.id_at(k);
-    let cell = &ctx.state.cells[k];
+    let view = ctx.state;
+    let (dist, next, signal) = (view.dist(k), view.next(k), view.signal(k));
     let mut flag = |detail: String| {
         out.push(MonitorViolation {
             monitor: "routing",
@@ -257,11 +259,10 @@ fn check_routing_cell(ctx: &MonitorCtx<'_>, k: usize, out: &mut Vec<MonitorViola
             detail,
         });
     };
-    if cell.failed {
-        if cell.dist != Dist::Infinity || cell.next.is_some() {
+    if view.failed(k) {
+        if dist != Dist::Infinity || next.is_some() {
             flag(format!(
-                "failed cell {id} not pinned: dist={:?} next={:?}",
-                cell.dist, cell.next
+                "failed cell {id} not pinned: dist={dist:?} next={next:?}"
             ));
         }
         return;
@@ -269,24 +270,21 @@ fn check_routing_cell(ctx: &MonitorCtx<'_>, k: usize, out: &mut Vec<MonitorViola
     // `Nbrs` holds in-bounds cells only: a unit step off the grid is no
     // neighbor either.
     let neighbor = |n: CellId| id.is_neighbor(n) && dims.contains(n);
-    if let Some(n) = cell.next {
+    if let Some(n) = next {
         if !neighbor(n) {
             flag(format!("cell {id} routes to non-neighbor {n}"));
         }
     }
-    if let Some(s) = cell.signal {
+    if let Some(s) = signal {
         if !neighbor(s) {
             flag(format!("cell {id} grants non-neighbor {s}"));
         }
     }
     if id == ctx.config.target() {
-        if cell.dist != Dist::Finite(0) {
-            flag(format!(
-                "live target {id} has dist {:?}, expected 0",
-                cell.dist
-            ));
+        if dist != Dist::Finite(0) {
+            flag(format!("live target {id} has dist {dist:?}, expected 0"));
         }
-    } else if cell.dist == Dist::Finite(0) {
+    } else if dist == Dist::Finite(0) {
         flag(format!("non-target cell {id} claims dist 0"));
     }
 }
@@ -311,7 +309,7 @@ impl Monitor for RoutingMonitor {
         }
         // Re-judge the cells in scope; only the index keeps their verdicts.
         let mut out = Vec::new();
-        for_each_cell(scope, ctx.state.cells.len(), |k| {
+        for_each_cell(scope, ctx.state.cell_count(), |k| {
             check_routing_cell(ctx, k, &mut out);
             if out.is_empty() {
                 self.broken.remove(&(k as u32));
@@ -373,7 +371,7 @@ impl Monitor for ConservationMonitor {
             .occupied
             .refresh(ctx)
             .iter()
-            .map(|&k| ctx.state.cells[k as usize].members.len())
+            .map(|&k| ctx.state.occupancy(k as usize))
             .sum();
         let population = population as i64;
         let expected = (ctx.inserted_total - ctx.consumed_total.min(ctx.inserted_total)) as i64;
@@ -462,7 +460,7 @@ impl Stability {
     /// flip that means the changed cells, the cells whose `ρ` moved, and
     /// their neighbors; a full scan re-judges every cell.
     fn refresh(&mut self, ctx: &MonitorCtx<'_>) -> bool {
-        let n = ctx.state.cells.len();
+        let n = ctx.state.cell_count();
         if self.unstable.len() != n {
             *self = Stability {
                 failed: vec![false; n],
@@ -474,7 +472,7 @@ impl Stability {
         let scope = scope(ctx, &mut self.last_round);
         let mut flipped = false;
         for_each_cell(scope, n, |k| {
-            let failed = ctx.state.cells[k].failed;
+            let failed = ctx.state.failed(k);
             flipped |= failed != self.failed[k];
             self.failed[k] = failed;
         });
@@ -509,8 +507,7 @@ impl Stability {
 
     /// Re-judges cell `k` under `rho`, keeping the unstable count.
     fn judge(&mut self, ctx: &MonitorCtx<'_>, rho: &Distances, k: usize) {
-        let id = ctx.config.dims().id_at(k);
-        let stable = analysis::cell_stabilized(ctx.config, rho, id, &ctx.state.cells[k]);
+        let stable = analysis::cell_stabilized(ctx.config, rho, ctx.state, k);
         if self.unstable[k] == stable {
             self.unstable[k] = !stable;
             if stable {
@@ -726,8 +723,8 @@ impl Monitor for CapacityMonitor {
         // An unchanged cell keeps its occupancy, so its latch and its share
         // of `peak` already hold.
         let scope = scope(ctx, &mut self.last_round);
-        for_each_cell(scope, ctx.state.cells.len(), |k| {
-            let occupancy = ctx.state.cells[k].members.len();
+        for_each_cell(scope, ctx.state.cell_count(), |k| {
+            let occupancy = ctx.state.occupancy(k);
             self.peak = self.peak.max(occupancy);
             if occupancy > self.capacity as usize {
                 if !self.over[k] {
@@ -772,7 +769,12 @@ impl Monitor for CapacityMonitor {
 /// # Panics
 ///
 /// Panics if `mask.len()` differs from the number of cells.
-pub fn component_map(config: &SystemConfig, state: &SystemState, mask: &[u8]) -> Vec<Option<u32>> {
+pub fn component_map<'a>(
+    config: &SystemConfig,
+    state: impl Into<StateView<'a>>,
+    mask: &[u8],
+) -> Vec<Option<u32>> {
+    let state = state.into();
     let dims = config.dims();
     let n = dims.cell_count();
     assert_eq!(mask.len(), n, "mask row must match the grid");
@@ -780,7 +782,7 @@ pub fn component_map(config: &SystemConfig, state: &SystemState, mask: &[u8]) ->
     let mut next_comp = 0u32;
     let mut stack = Vec::new();
     for start in 0..n {
-        if comp[start].is_some() || state.cells[start].failed {
+        if comp[start].is_some() || state.failed(start) {
             continue;
         }
         let label = next_comp;
@@ -794,7 +796,7 @@ pub fn component_map(config: &SystemConfig, state: &SystemState, mask: &[u8]) ->
                     continue;
                 };
                 let nk = dims.index(nid);
-                if comp[nk].is_some() || state.cells[nk].failed {
+                if comp[nk].is_some() || state.failed(nk) {
                     continue;
                 }
                 // k's incoming slot s faces `dir`; the neighbor hears k on
@@ -887,7 +889,8 @@ impl Monitor for ReachabilityMonitor {
 
         if active {
             self.episode_rounds += 1;
-            if let Err(v) = safety::check_safe(ctx.config, ctx.state) {
+            let cells = 0..ctx.state.cell_count();
+            if let Err(v) = safety::check_safe_in(ctx.config, ctx.state, cells) {
                 out.push(MonitorViolation {
                     monitor: self.name(),
                     round: ctx.round,
@@ -900,9 +903,9 @@ impl Monitor for ReachabilityMonitor {
         // a mover must hear its next cell's grant that same round (the
         // request side is weaker — a standing token issued before the cut
         // may keep granting, which both executions honor).
-        for (k, cell) in ctx.state.cells.iter().enumerate() {
+        for k in 0..ctx.state.cell_count() {
             let here = dims.id_at(k);
-            for &eid in cell.members.keys() {
+            for eid in ctx.state.members(k).map(|e| e.id) {
                 if let Some(&from) = self.prev.get(&eid) {
                     if from != here && self.schedule.is_cut(mask_round, here, from) {
                         out.push(MonitorViolation {
@@ -915,10 +918,10 @@ impl Monitor for ReachabilityMonitor {
             }
         }
         self.prev.clear();
-        for (k, cell) in ctx.state.cells.iter().enumerate() {
+        for k in 0..ctx.state.cell_count() {
             let here = dims.id_at(k);
-            for &eid in cell.members.keys() {
-                self.prev.insert(eid, here);
+            for e in ctx.state.members(k) {
+                self.prev.insert(e.id, here);
             }
         }
         self.violations += out.len() as u64;
@@ -973,7 +976,7 @@ mod tests {
             sys.step();
             let ctx = MonitorCtx {
                 config: sys.config(),
-                state: sys.state(),
+                state: sys.view(),
                 round: sys.round(),
                 failed: &[],
                 recovered: &[],
@@ -1020,7 +1023,7 @@ mod tests {
         let mut m = SafetyMonitor::new();
         let ctx = MonitorCtx {
             config: sys.config(),
-            state: sys.state(),
+            state: sys.view(),
             round: 1,
             failed: &[],
             recovered: &[],
@@ -1047,7 +1050,7 @@ mod tests {
         let mut m = RoutingMonitor::new();
         let ctx = MonitorCtx {
             config: sys.config(),
-            state: &state,
+            state: (&state).into(),
             round: 3,
             failed: &[],
             recovered: &[],
@@ -1072,7 +1075,7 @@ mod tests {
         let mut m = RoutingMonitor::new();
         let ctx = MonitorCtx {
             config: sys.config(),
-            state: &state,
+            state: (&state).into(),
             round: 3,
             failed: &[],
             recovered: &[],
@@ -1093,7 +1096,7 @@ mod tests {
         let mut m = ConservationMonitor::new();
         let ctx = MonitorCtx {
             config: sys.config(),
-            state: sys.state(),
+            state: sys.view(),
             round: 1,
             failed: &[],
             recovered: &[],
@@ -1119,7 +1122,7 @@ mod tests {
             sys.step();
             let ctx = MonitorCtx {
                 config: sys.config(),
-                state: sys.state(),
+                state: sys.view(),
                 round: sys.round(),
                 failed: &[],
                 recovered: &[],
@@ -1138,7 +1141,7 @@ mod tests {
         sys.step();
         let ctx = MonitorCtx {
             config: sys.config(),
-            state: sys.state(),
+            state: sys.view(),
             round: sys.round(),
             failed: &[victim],
             recovered: &[],
@@ -1166,7 +1169,7 @@ mod tests {
             sys.step();
             let ctx = MonitorCtx {
                 config: sys.config(),
-                state: sys.state(),
+                state: sys.view(),
                 round: sys.round(),
                 failed: &[],
                 recovered: &[],
@@ -1189,7 +1192,7 @@ mod tests {
         let mut m = ConservationMonitor::new();
         let ctx = |round, corrupted: &'static [CellId], inserted| MonitorCtx {
             config: sys.config(),
-            state: sys.state(),
+            state: sys.view(),
             round,
             failed: &[],
             recovered: &[],
@@ -1221,7 +1224,7 @@ mod tests {
             sys.step();
             let ctx = MonitorCtx {
                 config: sys.config(),
-                state: sys.state(),
+                state: sys.view(),
                 round: sys.round(),
                 failed: &[],
                 recovered: &[],
@@ -1239,7 +1242,7 @@ mod tests {
         sys.step();
         let disturbed = MonitorCtx {
             config: sys.config(),
-            state: sys.state(),
+            state: sys.view(),
             round: sys.round(),
             failed: &[],
             recovered: &[],
@@ -1272,7 +1275,7 @@ mod tests {
         ) -> bool {
             let ctx = |changed| MonitorCtx {
                 config: sys.config(),
-                state: sys.state(),
+                state: sys.view(),
                 round,
                 failed: if failed { edit } else { &[] },
                 recovered: if failed { &[] } else { edit },
@@ -1368,7 +1371,7 @@ mod tests {
             sys.step();
             let ctx = MonitorCtx {
                 config: sys.config(),
-                state: sys.state(),
+                state: sys.view(),
                 round: sys.round(),
                 failed: &[],
                 recovered: &[],
@@ -1400,7 +1403,7 @@ mod tests {
         let observe = |m: &mut ReachabilityMonitor, sys: &System, round| {
             m.observe(&MonitorCtx {
                 config: sys.config(),
-                state: sys.state(),
+                state: sys.view(),
                 round,
                 failed: &[],
                 recovered: &[],
@@ -1441,7 +1444,7 @@ mod tests {
         let observe = |m: &mut CapacityMonitor, sys: &System, round: u64| {
             let ctx = MonitorCtx {
                 config: sys.config(),
-                state: sys.state(),
+                state: sys.view(),
                 round,
                 failed: &[],
                 recovered: &[],

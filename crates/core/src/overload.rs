@@ -37,7 +37,7 @@ use cellflow_geom::Dir;
 use cellflow_grid::CellId;
 
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
-use crate::{System, SystemConfig, SystemState};
+use crate::{StateView, System, SystemConfig, SystemState};
 
 /// When does overload trip? A cell (other than the target, which is an
 /// infinite sink) trips once its occupancy has been `≥ threshold` for
@@ -221,25 +221,27 @@ impl OverloadDetector {
     /// trip, in ascending `CellId` order. The caller is responsible for
     /// enacting the actions ([`System::fail`] now; for
     /// [`OverloadAction::Backoff`], a recovery at `resume_round`).
-    pub fn poll(
+    pub fn poll<'a>(
         &mut self,
         config: &SystemConfig,
-        state: &SystemState,
+        state: impl Into<StateView<'a>>,
         round: u64,
     ) -> Vec<(CellId, OverloadAction)> {
+        let state = state.into();
         let dims = config.dims();
         let mut tripped = Vec::new();
-        for (k, cell) in state.cells.iter().enumerate() {
+        for k in 0..state.cell_count() {
             if self.protected[k] {
                 continue; // targets sink, sources generate; neither trips
             }
-            if cell.failed {
+            if state.failed(k) {
                 // Dead or pausing cells are inert; the counter restarts
                 // from zero when (if) they come back.
                 self.sustain[k] = 0;
                 continue;
             }
-            if cell.members.len() >= self.trigger.threshold as usize {
+            let occupancy = state.occupancy(k);
+            if occupancy >= self.trigger.threshold as usize {
                 self.sustain[k] += 1;
             } else {
                 self.sustain[k] = 0;
@@ -261,7 +263,7 @@ impl OverloadDetector {
             self.stats.max_cascade_depth = self.stats.max_cascade_depth.max(depth);
             let action = match self.backoff {
                 None => {
-                    let shed = cell.members.len() as u64;
+                    let shed = occupancy as u64;
                     self.stats.overload_crashes += 1;
                     self.stats.sheds += shed;
                     OverloadAction::Crash { depth, shed }
@@ -353,7 +355,7 @@ pub fn expand_overload(
                 apply_event(&mut system, event);
             }
         }
-        for (cell, action) in detector.poll(config, system.state(), round) {
+        for (cell, action) in detector.poll(config, system.view(), round) {
             system.fail(cell);
             match action {
                 OverloadAction::Crash { depth, .. } => {

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use cellflow_geom::{sep_ok, Point};
 use cellflow_grid::CellId;
 
-use crate::{gap_free_toward, Entity, EntityId, SystemConfig, SystemState};
+use crate::{gap_free_toward, Entity, EntityId, StateView, SystemConfig, SystemState};
 
 /// A violation of `Safe(x)`: two entities on one cell within `d` on both axes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,13 +43,17 @@ impl std::error::Error for SafetyViolation {}
 
 /// Checks the paper's safety property (Theorem 5): for every cell and every
 /// pair of distinct entities on it, the centers differ by at least `d = rs+l`
-/// along at least one axis.
+/// along at least one axis. Takes a `&SystemState` or a [`StateView`].
 ///
 /// # Errors
 ///
 /// Returns the first violating pair found (deterministic order).
-pub fn check_safe(config: &SystemConfig, state: &SystemState) -> Result<(), SafetyViolation> {
-    check_safe_in(config, state, 0..state.cells.len())
+pub fn check_safe<'a>(
+    config: &SystemConfig,
+    state: impl Into<StateView<'a>>,
+) -> Result<(), SafetyViolation> {
+    let state = state.into();
+    check_safe_in(config, state, 0..state.cell_count())
 }
 
 /// [`check_safe`] over the cells at the given arena indices only, visited
@@ -62,22 +66,20 @@ pub fn check_safe(config: &SystemConfig, state: &SystemState) -> Result<(), Safe
 /// Returns the first violating pair found.
 pub(crate) fn check_safe_in(
     config: &SystemConfig,
-    state: &SystemState,
+    state: StateView<'_>,
     cells: impl IntoIterator<Item = usize>,
 ) -> Result<(), SafetyViolation> {
     let dims = config.dims();
     let d = config.params().d();
     for k in cells {
-        let id = dims.id_at(k);
-        let cell = &state.cells[k];
-        let entities: Vec<Entity> = cell.entities().collect();
-        for (a_idx, a) in entities.iter().enumerate() {
-            for b in &entities[a_idx + 1..] {
-                if !sep_ok(a.pos, b.pos, d) {
+        let mut rest = state.members(k);
+        while let Some(first) = rest.next() {
+            for second in rest.clone() {
+                if !sep_ok(first.pos, second.pos, d) {
                     return Err(SafetyViolation {
-                        cell: id,
-                        first: *a,
-                        second: *b,
+                        cell: dims.id_at(k),
+                        first,
+                        second,
                     });
                 }
             }
@@ -114,8 +116,12 @@ impl std::error::Error for MarginViolation {}
 /// # Errors
 ///
 /// Returns the first protruding entity found.
-pub fn check_invariant1(config: &SystemConfig, state: &SystemState) -> Result<(), MarginViolation> {
-    check_invariant1_in(config, state, 0..state.cells.len())
+pub fn check_invariant1<'a>(
+    config: &SystemConfig,
+    state: impl Into<StateView<'a>>,
+) -> Result<(), MarginViolation> {
+    let state = state.into();
+    check_invariant1_in(config, state, 0..state.cell_count())
 }
 
 /// [`check_invariant1`] over the cells at the given arena indices only,
@@ -126,13 +132,13 @@ pub fn check_invariant1(config: &SystemConfig, state: &SystemState) -> Result<()
 /// Returns the first protruding entity found.
 pub(crate) fn check_invariant1_in(
     config: &SystemConfig,
-    state: &SystemState,
+    state: StateView<'_>,
     cells: impl IntoIterator<Item = usize>,
 ) -> Result<(), MarginViolation> {
     let dims = config.dims();
     for k in cells {
         let id = dims.id_at(k);
-        for e in state.cells[k].entities() {
+        for e in state.members(k) {
             if !crate::source::within_cell_margins(config.params(), id, e.pos) {
                 return Err(MarginViolation {
                     cell: id,
@@ -173,11 +179,12 @@ impl std::error::Error for DisjointnessViolation {}
 /// # Errors
 ///
 /// Returns the first doubly-claimed entity found.
-pub fn check_invariant2(
+pub fn check_invariant2<'a>(
     config: &SystemConfig,
-    state: &SystemState,
+    state: impl Into<StateView<'a>>,
 ) -> Result<(), DisjointnessViolation> {
-    check_invariant2_in(config, state, 0..state.cells.len())
+    let state = state.into();
+    check_invariant2_in(config, state, 0..state.cell_count())
 }
 
 /// [`check_invariant2`] among the cells at the given arena indices only,
@@ -188,14 +195,14 @@ pub fn check_invariant2(
 /// Returns the first doubly-claimed entity found.
 pub(crate) fn check_invariant2_in(
     config: &SystemConfig,
-    state: &SystemState,
+    state: StateView<'_>,
     cells: impl IntoIterator<Item = usize>,
 ) -> Result<(), DisjointnessViolation> {
     let dims = config.dims();
     let mut owner: HashMap<EntityId, CellId> = HashMap::new();
     for k in cells {
         let id = dims.id_at(k);
-        for &eid in state.cells[k].members.keys() {
+        for eid in state.members(k).map(|e| e.id) {
             if let Some(&prev) = owner.get(&eid) {
                 return Err(DisjointnessViolation {
                     entity: eid,

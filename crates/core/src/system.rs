@@ -11,7 +11,9 @@ use cellflow_routing::Dist;
 
 use crate::engine::{Engine, NeighborTable};
 use crate::fault::Corruption;
-use crate::{CellState, Entity, EntityId, Params, RoundEvents, SourcePolicy, TokenPolicy};
+use crate::{
+    CellState, Entity, EntityId, Params, RoundEvents, SourcePolicy, StateView, TokenPolicy,
+};
 
 /// Static configuration of a `System`: everything that does *not* change
 /// during execution.
@@ -347,41 +349,44 @@ impl SystemState {
     }
 }
 
-/// The `System` automaton with its execution bookkeeping: current state,
-/// round number, and cumulative counters — the convenient facade over the
-/// round transition used by simulations, examples and tests.
+/// The `System` automaton with its execution bookkeeping: round number and
+/// cumulative counters — the convenient facade over the round transition
+/// used by simulations, examples and tests.
 ///
-/// Rounds execute on the arena-backed [`Engine`]; a [`SystemState`] mirror is
-/// kept in sync after every step so monitors, safety checks and serialization
-/// keep their structured view of the state. Mutators edit the mirror and
-/// import the edit into the engine at once: fault injection and entity
-/// seeding import the one cell they touched ([`Engine::load_cell`]), so the
-/// next round stays on the changed-set path; [`System::set_state`] imports
-/// the whole state ([`Engine::load_state`]). The engine's transition is
-/// proven equivalent to the pure [`update`](crate::update) composition by
-/// `tests/engine_differential.rs`.
+/// Rounds execute on the arena-backed [`Engine`], which holds the only copy
+/// of the state. Per-round readers (monitors, safety checks, the overload
+/// detector) read the arenas in place through [`System::view`];
+/// [`System::state`] exports a structured [`SystemState`] on demand and
+/// caches it until the next mutation, so a run that never asks for the
+/// whole state never builds one. Fault edits change the engine's registers
+/// of the one cell they touch and schedule it ([`Engine::load_cell`]), so
+/// the next round stays on the changed-set path; [`System::set_state`]
+/// imports a whole state ([`Engine::load_state`]). The engine's transition
+/// is proven equivalent to the pure [`update`](crate::update) composition
+/// by `tests/engine_differential.rs`.
 #[derive(Clone, Debug)]
 pub struct System {
     config: SystemConfig,
-    state: SystemState,
     engine: Engine,
     round: u64,
     consumed_total: u64,
     inserted_total: u64,
+    /// [`System::state`]'s export, built on the first call after a
+    /// mutation; every `&mut self` method empties it.
+    exported: OnceLock<SystemState>,
 }
 
 impl System {
     /// Creates a system in the initial state of `config`.
     pub fn new(config: SystemConfig) -> System {
-        let state = config.initial_state();
         let engine = Engine::new(config.clone());
         System {
             config,
-            state,
             engine,
             round: 0,
             consumed_total: 0,
             inserted_total: 0,
+            exported: OnceLock::new(),
         }
     }
 
@@ -390,9 +395,22 @@ impl System {
         &self.config
     }
 
-    /// The current state.
+    /// The current state, exported from the engine on the first call after
+    /// a mutation. Per-round readers take [`System::view`] instead.
     pub fn state(&self) -> &SystemState {
-        &self.state
+        self.exported.get_or_init(|| self.engine.export_state())
+    }
+
+    /// A read-only view of the current state in the engine's arenas.
+    /// Reading it allocates nothing.
+    pub fn view(&self) -> StateView<'_> {
+        self.engine.view()
+    }
+
+    /// The engine, for mutation: the export cache no longer holds.
+    fn engine_mut(&mut self) -> &mut Engine {
+        self.exported.take();
+        &mut self.engine
     }
 
     /// Replaces the current state (fault injection / replay). The next
@@ -404,17 +422,16 @@ impl System {
             self.config.dims().cell_count(),
             "state size must match the grid"
         );
-        self.engine.load_state(&state);
-        self.state = state;
+        self.engine_mut().load_state(&state);
     }
 
-    /// The state of cell `id`.
+    /// The state of cell `id`, read from [`System::state`]'s export.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of bounds.
     pub fn cell(&self, id: CellId) -> &CellState {
-        self.state.cell(self.config.dims(), id)
+        self.state().cell(self.config.dims(), id)
     }
 
     /// Rounds executed so far.
@@ -438,7 +455,7 @@ impl System {
     ///
     /// Panics if `id` is out of bounds.
     pub fn occupancy(&self, id: CellId) -> usize {
-        self.state.cell(self.config.dims(), id).members.len()
+        self.engine.occupancy(id)
     }
 
     /// Congestion pressure of cell `id` — the engine's leaky occupancy
@@ -454,33 +471,35 @@ impl System {
     /// Attaches per-phase span timers to the underlying engine (see
     /// [`Engine::attach_phase_timers`]).
     pub fn attach_phase_timers(&mut self, timers: cellflow_telemetry::PhaseTimers) {
-        self.engine.attach_phase_timers(timers);
+        self.engine_mut().attach_phase_timers(timers);
     }
 
     /// Attaches the scheduler occupancy gauges to the underlying engine
     /// (see [`Engine::attach_scheduler_metrics`]).
     pub fn attach_scheduler_metrics(&mut self, metrics: cellflow_telemetry::SchedulerMetrics) {
-        self.engine.attach_scheduler_metrics(metrics);
+        self.engine_mut().attach_scheduler_metrics(metrics);
     }
 
     /// Turns on per-round phase attribution in the underlying engine (see
     /// [`Engine::enable_round_trace`]).
     pub fn enable_round_trace(&mut self) {
-        self.engine.enable_round_trace();
+        self.engine_mut().enable_round_trace();
     }
 
     /// Attaches a flight recorder to the underlying engine (see
     /// [`Engine::attach_recorder`]): the opening keyframe is the state
     /// visible right now, at the current round number.
     pub fn attach_recorder(&mut self, recorder: Box<crate::snapshot::Recorder>) {
-        self.engine.set_round(self.round);
-        self.engine.attach_recorder(recorder);
+        let round = self.round;
+        let engine = self.engine_mut();
+        engine.set_round(round);
+        engine.attach_recorder(recorder);
     }
 
     /// Detaches and returns the flight recorder, if any (see
     /// [`Engine::take_recorder`]).
     pub fn take_recorder(&mut self) -> Option<Box<crate::snapshot::Recorder>> {
-        self.engine.take_recorder()
+        self.engine_mut().take_recorder()
     }
 
     /// The most recent round's phase attribution (see
@@ -498,7 +517,7 @@ impl System {
     /// active-set scheduling (see [`Engine::set_exec_mode`]). Both modes are
     /// state- and event-identical; reports stay byte-identical per seed.
     pub fn set_exec_mode(&mut self, mode: crate::ExecMode) {
-        self.engine.set_exec_mode(mode);
+        self.engine_mut().set_exec_mode(mode);
     }
 
     /// Distinct cells the engine's phases ran on in the most recent round
@@ -520,17 +539,17 @@ impl System {
         self.engine.changed_cells()
     }
 
+    /// Events of the most recent round (see [`Engine::events`]).
+    pub fn events(&self) -> &RoundEvents {
+        self.engine.events()
+    }
+
     /// Executes one `update` transition (one synchronous round) and returns
-    /// what happened.
-    pub fn step(&mut self) -> RoundEvents {
+    /// what happened: the engine's own record of the round.
+    pub fn step(&mut self) -> &RoundEvents {
+        self.exported.take();
         self.engine.set_round(self.round);
-        let events = self.engine.step().clone();
-        // The mirror holds the previous round's state, so writing back the
-        // round's changed cells brings it up to date.
-        match self.engine.changed_cells() {
-            Some(changed) => self.engine.store_cells(&mut self.state, changed),
-            None => self.engine.store_state(&mut self.state),
-        }
+        let events = self.engine.step();
         self.round += 1;
         self.consumed_total += events.consumed.len() as u64;
         self.inserted_total += events.inserted.len() as u64;
@@ -555,12 +574,12 @@ impl System {
     ///
     /// Panics if `masks.len()` differs from the number of cells.
     pub fn set_link_cuts(&mut self, masks: &[u8]) {
-        self.engine.set_link_cuts(masks);
+        self.engine_mut().set_link_cuts(masks);
     }
 
     /// Clears all link cuts (see [`Engine::clear_link_cuts`]).
     pub fn clear_link_cuts(&mut self) {
-        self.engine.clear_link_cuts();
+        self.engine_mut().clear_link_cuts();
     }
 
     /// Crashes cell `id` (see [`SystemState::fail`]).
@@ -569,8 +588,8 @@ impl System {
     ///
     /// Panics if `id` is out of bounds.
     pub fn fail(&mut self, id: CellId) {
-        self.state.fail(self.config.dims(), id);
-        self.import_cell(id);
+        let k = self.config.dims().index(id);
+        self.engine_mut().fail_cell(k);
     }
 
     /// Recovers cell `id` (see [`SystemState::recover`]).
@@ -579,9 +598,8 @@ impl System {
     ///
     /// Panics if `id` is out of bounds.
     pub fn recover(&mut self, id: CellId) {
-        let target = self.config.target();
-        self.state.recover(self.config.dims(), id, target);
-        self.import_cell(id);
+        let k = self.config.dims().index(id);
+        self.engine_mut().recover_cell(k);
     }
 
     /// Applies a transient state corruption to cell `id` (see
@@ -591,15 +609,10 @@ impl System {
     ///
     /// Panics if `id` is out of bounds.
     pub fn corrupt(&mut self, id: CellId, corruption: Corruption) {
-        let cell = self.state.cell_mut(self.config.dims(), id);
-        corruption.apply(&self.config, id, cell);
-        self.import_cell(id);
-    }
-
-    /// Imports the mirror's cell `id` into the engine after an edit.
-    fn import_cell(&mut self, id: CellId) {
         let k = self.config.dims().index(id);
-        self.engine.load_cell(k, &self.state.cells[k]);
+        let mut cell = self.engine.export_cell(k);
+        corruption.apply(&self.config, id, &mut cell);
+        self.engine_mut().load_cell(k, &cell);
     }
 
     /// Places an entity with a fresh identifier at `pos` on cell `id`,
@@ -615,20 +628,20 @@ impl System {
         if !crate::source::within_cell_margins(params, id, pos) {
             return Err(SeedError::OutsideMargins);
         }
-        let dims = self.config.dims();
-        let cell = self.state.cell(dims, id);
-        if !cell
-            .members
-            .values()
-            .all(|&q| cellflow_geom::sep_ok(pos, q, params.d()))
+        let k = self.config.dims().index(id);
+        if !self
+            .view()
+            .members(k)
+            .all(|q| cellflow_geom::sep_ok(pos, q.pos, params.d()))
         {
             return Err(SeedError::TooClose);
         }
-        let eid = EntityId(self.state.next_entity_id);
-        self.state.next_entity_id += 1;
-        self.state.cell_mut(dims, id).members.insert(eid, pos);
-        self.engine.set_next_entity_id(self.state.next_entity_id);
-        self.import_cell(id);
+        let eid = EntityId(self.engine.next_entity_id());
+        let mut cell = self.engine.export_cell(k);
+        cell.members.insert(eid, pos);
+        let engine = self.engine_mut();
+        engine.set_next_entity_id(eid.0 + 1);
+        engine.load_cell(k, &cell);
         Ok(eid)
     }
 }
@@ -809,6 +822,52 @@ mod tests {
         );
         sys.step();
         assert!(sys.changed_cells().is_some());
+    }
+
+    /// Every mutator, interleaved with `state()` and `cell()` reads: each
+    /// read sees what a fresh export of the engine holds, so no mutator
+    /// leaves a stale export behind.
+    #[test]
+    fn state_reads_track_every_mutator() {
+        use crate::fault::Corruption;
+        let cfg = SystemConfig::new(
+            GridDims::square(6),
+            CellId::new(1, 5),
+            Params::from_milli(250, 50, 200).unwrap(),
+        )
+        .unwrap()
+        .with_source(CellId::new(1, 0));
+        let mut sys = System::new(cfg);
+        let check = |sys: &System, what: &str| {
+            let fresh = sys.engine.export_state();
+            assert_eq!(sys.state(), &fresh, "state() after {what}");
+            for id in sys.config().dims().iter() {
+                assert_eq!(sys.cell(id), fresh.cell(sys.config().dims(), id), "{what}");
+            }
+        };
+        check(&sys, "construction");
+        let (cell, spot) = (CellId::new(1, 2), CellId::new(4, 3));
+        for round in 0..60u64 {
+            check(&sys, "the previous edit");
+            match round % 7 {
+                0 => sys.fail(cell),
+                1 => sys.recover(cell),
+                2 => sys.corrupt(cell, Corruption::Scramble { salt: round }),
+                3 => {
+                    let _ = sys.seed_entity(spot, spot.center());
+                }
+                4 => {
+                    let state = sys.state().clone();
+                    sys.set_state(state);
+                }
+                5 => sys.fail(sys.config().target()),
+                _ => sys.recover(sys.config().target()),
+            }
+            check(&sys, "an edit");
+            sys.step();
+        }
+        check(&sys, "the last step");
+        assert!(sys.state().entity_count() > 0);
     }
 
     #[test]

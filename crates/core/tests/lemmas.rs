@@ -88,7 +88,8 @@ fn lemma8_granted_movement_makes_progress() {
             sys.recover(CellId::new(1, 3));
         }
         let before = sys.state().clone();
-        let ev = sys.step();
+        sys.step();
+        let ev = sys.events();
         let dims = sys.config().dims();
         for &mover in &ev.moved {
             // Move acts on the `next` computed by Route within the same

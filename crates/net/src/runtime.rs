@@ -5,7 +5,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cellflow_core::fault::{FaultKind, FaultPlan, PartitionPlan, PartitionSchedule};
@@ -445,6 +445,10 @@ impl NetSystem {
         let barrier = barrier;
         let (result_tx, result_rx) = channel::<(CellId, CellState, u64, u64)>();
         let (snap_tx, snap_rx) = channel::<Snapshot>();
+        // The first worker panic's message. A worker catches its own panic,
+        // since `std::thread::scope` would replace the message with its
+        // own, and aborts the barrier so nobody waits out the timeout.
+        let worker_panic: Mutex<Option<String>> = Mutex::new(None);
 
         let outcome = scope_catching(|scope| {
             let ctx = RunCtx {
@@ -492,7 +496,15 @@ impl NetSystem {
                         }
                     })
                     .collect();
-                scope.spawn(move || drive_shard(ctx, slots));
+                let worker_panic = &worker_panic;
+                scope.spawn(move || {
+                    let first = slots[0].id;
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| drive_shard(ctx, slots)))
+                    {
+                        lock_slot(worker_panic).get_or_insert_with(|| panic_message(&*payload));
+                        ctx.barrier.abort(first);
+                    }
+                });
             }
             drop(result_tx);
             drop(snap_tx);
@@ -549,11 +561,11 @@ impl NetSystem {
                         inserted += i;
                         states[dims.index(id)] = Some(state);
                     }
-                    // All workers exited without all cells reporting: the
-                    // barrier poison tells us why; otherwise a thread
-                    // panicked (leaving the scope will surface it).
-                    Err(_) => match barrier.poison() {
-                        Some(p) => {
+                    // All workers exited without all cells reporting: a
+                    // worker panic or the barrier poison tells us why.
+                    Err(_) => match (lock_slot(&worker_panic).take(), barrier.poison()) {
+                        (Some(msg), _) => break Err(NetError::NodePanicked(msg)),
+                        (None, Some(p)) => {
                             let round = p.round();
                             // A cell that cleanly withdrew its barrier seat
                             // (hard-crash awaiting re-spawn, tear window) is
@@ -579,7 +591,7 @@ impl NetSystem {
                                 silent,
                             });
                         }
-                        None => {
+                        (None, None) => {
                             break Err(NetError::Disconnected {
                                 reported,
                                 expected: n as u64,
@@ -675,16 +687,12 @@ impl NetSystem {
             })
         });
 
+        if let Some(msg) = lock_slot(&worker_panic).take() {
+            return Err(NetError::NodePanicked(msg));
+        }
         let (mut report, recording) = match outcome {
             Ok(inner) => inner?,
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
-                return Err(NetError::NodePanicked(msg));
-            }
+            Err(panic) => return Err(NetError::NodePanicked(panic_message(&*panic))),
         };
         if let Some(t) = &chaos_transport {
             report.chaos = t.stats();
@@ -699,9 +707,25 @@ impl NetSystem {
     }
 }
 
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "opaque panic payload".to_string())
+}
+
+/// Locks the worker-panic slot; a panic while it is held cannot happen,
+/// so a poisoned lock is taken as it is.
+fn lock_slot(slot: &Mutex<Option<String>>) -> std::sync::MutexGuard<'_, Option<String>> {
+    slot.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// [`std::thread::scope`], with a panic in any scoped thread (or in `f`)
 /// caught once every thread is joined and returned as `Err(payload)`: the
-/// run turns it into [`NetError::NodePanicked`].
+/// run turns it into [`NetError::NodePanicked`]. Workers catch their own
+/// panics, so this catches the collector's and the coordinator's.
 fn scope_catching<'env, F, T>(f: F) -> std::thread::Result<T>
 where
     F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
@@ -1408,7 +1432,7 @@ fn collect_rounds(
         }
         let ctx = MonitorCtx {
             config,
-            state: &state,
+            state: (&state).into(),
             round: round + 1,
             failed: &failed,
             recovered: &recovered,
@@ -2191,6 +2215,51 @@ mod tests {
         fn summary(&self) -> String {
             String::new()
         }
+    }
+
+    /// A store whose appends for one cell panic.
+    struct RefusingStore(MemoryStore);
+
+    impl SnapshotStore for RefusingStore {
+        fn append(
+            &self,
+            cell: CellId,
+            record: &PersistedRecord,
+        ) -> Result<(), crate::store::StoreError> {
+            assert!(cell != CellId::new(1, 1), "store refused cell (1,1)");
+            self.0.append(cell, record)
+        }
+
+        fn latest(
+            &self,
+            cell: CellId,
+        ) -> Result<Option<PersistedRecord>, crate::store::StoreError> {
+            self.0.latest(cell)
+        }
+    }
+
+    /// A worker that panics stops the run at once with its own message:
+    /// its peers and the collector do not wait out the round timeout.
+    #[test]
+    fn a_panicking_worker_fails_the_run_at_once_with_its_message() {
+        let started = std::time::Instant::now();
+        let err = NetSystem::new(config(3))
+            .unwrap()
+            .with_round_timeout(Duration::from_secs(30))
+            .with_store(Arc::new(RefusingStore(MemoryStore::new())))
+            .run_monitored(20, cellflow_core::standard_monitors(&config(3)))
+            .unwrap_err();
+        let elapsed = started.elapsed();
+        match err {
+            NetError::NodePanicked(msg) => {
+                assert!(msg.contains("store refused cell (1,1)"), "{msg}")
+            }
+            other => panic!("expected NodePanicked, got {other:?}"),
+        }
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "the run took {elapsed:?} to report the panic"
+        );
     }
 
     #[test]

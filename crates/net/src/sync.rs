@@ -234,6 +234,23 @@ impl RoundBarrier {
         }
     }
 
+    /// Poisons the barrier at once, naming `cell` as the detector, unless
+    /// it is already poisoned: every participant's wait returns at once.
+    /// A worker that failed outside the protocol (a panic) calls this so
+    /// that its peers and the collector stop without waiting out the
+    /// timeout.
+    pub fn abort(&self, cell: CellId) {
+        let mut inner = lock!(self.inner);
+        if inner.poison.is_none() {
+            inner.poison = Some(PoisonInfo {
+                generation: inner.generation,
+                cell,
+                arrived: inner.arrived_cells.clone(),
+            });
+        }
+        self.cv.notify_all();
+    }
+
     /// Permanently withdraws one seat (a cell that dies and never recovers).
     /// If the leaver was the last arrival the group was waiting on, the
     /// generation completes.

@@ -69,6 +69,7 @@ impl Monitor for CoversDiff {
     }
 
     fn observe(&mut self, ctx: &MonitorCtx<'_>) -> Vec<MonitorViolation> {
+        let state = ctx.state.to_state();
         let mut found = Vec::new();
         let mut flag = |detail: String| {
             found.push(MonitorViolation {
@@ -81,14 +82,14 @@ impl Monitor for CoversDiff {
             if !changed.windows(2).all(|w| w[0] < w[1]) {
                 flag(format!("not strictly ascending: {changed:?}"));
             }
-            for (k, (was, now)) in prev.cells.iter().zip(&ctx.state.cells).enumerate() {
+            for (k, (was, now)) in prev.cells.iter().zip(&state.cells).enumerate() {
                 if was != now && changed.binary_search(&(k as u32)).is_err() {
                     flag(format!("cell #{k} changed but is missing from {changed:?}"));
                 }
             }
         }
         self.rounds += 1;
-        self.prev = Some(ctx.state.clone());
+        self.prev = Some(state);
         found
     }
 

@@ -3,7 +3,9 @@
 //! discrete-transition-system model faithfully captures a message-passing
 //! implementation.
 
-use cellflow_core::{update, CellState, Params, System, SystemConfig, SystemState};
+use cellflow_core::{
+    update, CellState, FaultKind, FaultPlan, Params, System, SystemConfig, SystemState,
+};
 use cellflow_geom::Point;
 use cellflow_grid::{CellId, GridDims};
 use cellflow_net::NetSystem;
@@ -186,19 +188,35 @@ fn randomized_token_policy_equivalent() {
     assert_eq!(net.consumed, ref_consumed);
 }
 
-/// The pure `update` composition. The engine behind [`System`] and the
-/// deployment's nodes share their `Signal` and `Move` rules
+/// The pure `update` composition under `plan`, whose events each round
+/// edits the state as the shared-variable model reads them (every kind of
+/// crash is `fail`) before that round's `update`. Returns the final state
+/// and the consumed and inserted totals. The engine behind [`System`] and
+/// the deployment's nodes share their `Signal` and `Move` rules
 /// (`cellflow_core::kernel`), so only this oracle, whose phases share none
 /// of those rules, can tell a bug in them.
-fn oracle_run(config: &SystemConfig, rounds: u64) -> (SystemState, u64) {
+fn oracle_run(config: &SystemConfig, plan: &FaultPlan, rounds: u64) -> (SystemState, u64, u64) {
+    let (dims, target) = (config.dims(), config.target());
     let mut state = config.initial_state();
-    let mut consumed = 0;
+    let (mut consumed, mut inserted) = (0, 0);
     for round in 0..rounds {
+        for event in plan.events_at(round) {
+            let cell = event.cell;
+            match event.kind {
+                FaultKind::Recover => state.recover(dims, cell, target),
+                FaultKind::Corrupt(c) => c.apply(config, cell, state.cell_mut(dims, cell)),
+                FaultKind::Crash
+                | FaultKind::HardCrash
+                | FaultKind::Kill
+                | FaultKind::OverloadCrash => state.fail(dims, cell),
+            }
+        }
         let (next, events) = update(config, &state, round);
         consumed += events.consumed.len() as u64;
+        inserted += events.inserted.len() as u64;
         state = next;
     }
-    (state, consumed)
+    (state, consumed, inserted)
 }
 
 /// The deployment against the pure phases directly: two contending sources
@@ -221,8 +239,67 @@ fn deployment_matches_the_pure_oracle() {
         .with_source(CellId::new(2, 0))
         .with_token_policy(policy);
         let net = NetSystem::new(cfg.clone()).unwrap().run(150).unwrap();
-        let (oracle, consumed) = oracle_run(&cfg, 150);
+        let (oracle, consumed, _) = oracle_run(&cfg, &FaultPlan::new(), 150);
         assert_eq!(erased(&net.state), erased(&oracle), "{policy:?}");
         assert_eq!(net.consumed, consumed, "{policy:?}");
+    }
+}
+
+/// The deployment against the pure phases under faults: crashes and
+/// recoveries (the target's too), a hard crash with its re-spawn from the
+/// snapshot store, and register corruptions, with and without lossless
+/// message chaos (duplication and reordering). Corruptions that move
+/// entities stay out, since they depend on entity identifiers, which two
+/// sources mint differently here; partitions stay out, since the pure
+/// `update` has no link cuts.
+#[test]
+fn deployment_matches_the_pure_oracle_under_faults() {
+    use cellflow_core::{Corruption, TokenPolicy};
+    use cellflow_geom::Dir;
+    use cellflow_net::ChaosConfig;
+    let plan = FaultPlan::new()
+        .crash_at(10, CellId::new(1, 2))
+        .corrupt_at(18, CellId::new(2, 1), Corruption::Dist(Dist::Finite(0)))
+        .hard_crash_at(24, CellId::new(3, 2))
+        .recover_at(36, CellId::new(1, 2))
+        .corrupt_at(42, CellId::new(1, 1), Corruption::Token(Some(Dir::East)))
+        .corrupt_at(47, CellId::new(2, 3), Corruption::Next(Some(Dir::West)))
+        .recover_at(55, CellId::new(3, 2))
+        .corrupt_at(61, CellId::new(0, 1), Corruption::Signal(Some(Dir::North)))
+        .corrupt_at(66, CellId::new(3, 1), Corruption::NePrev { mask: 0b0101 })
+        .crash_at(72, CellId::new(2, 2))
+        .recover_at(80, CellId::new(2, 2));
+    let lossless = ChaosConfig {
+        dup_rate: 0.2,
+        reorder_rate: 0.2,
+        until_round: Some(100),
+        ..ChaosConfig::quiet(29)
+    };
+    for policy in [
+        TokenPolicy::RoundRobin,
+        TokenPolicy::FixedPriority,
+        TokenPolicy::Randomized { salt: 0xFEED },
+    ] {
+        let cfg = SystemConfig::new(
+            GridDims::square(5),
+            CellId::new(2, 2),
+            Params::from_milli(200, 50, 150).unwrap(),
+        )
+        .unwrap()
+        .with_source(CellId::new(0, 2))
+        .with_source(CellId::new(2, 0))
+        .with_token_policy(policy);
+        let (oracle, consumed, inserted) = oracle_run(&cfg, &plan, 150);
+        for chaos in [None, Some(lossless)] {
+            let mut net = NetSystem::new(cfg.clone()).unwrap().with_plan(plan.clone());
+            if let Some(chaos) = chaos {
+                net = net.with_chaos(chaos);
+            }
+            let report = net.run(150).unwrap();
+            let run = format!("{policy:?}, chaos {}", chaos.is_some());
+            assert_eq!(erased(&report.state), erased(&oracle), "{run}");
+            assert_eq!(report.consumed, consumed, "{run}");
+            assert_eq!(report.inserted, inserted, "{run}");
+        }
     }
 }

@@ -219,7 +219,7 @@ pub fn run_cascade_recorded(
     let total_rounds = scenario.rounds + scenario.settle;
     for _ in 0..total_rounds {
         sim.step();
-        occupancy.record(config, sim.system().state());
+        occupancy.record(config, sim.system().view());
         pressure.record(sim.system());
     }
 

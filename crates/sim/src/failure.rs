@@ -108,11 +108,10 @@ impl FailureModel for RandomFailRecover {
     fn apply(&mut self, system: &mut System, _round: u64) -> FailureEvents {
         let dims = system.config().dims();
         let target = system.config().target();
-        let sources = system.config().sources().clone();
         let mut events = FailureEvents::default();
-        for id in dims.iter() {
-            let failed = system.cell(id).failed;
-            if failed {
+        // Arena order is `dims.iter()`'s row-major order.
+        for (k, id) in dims.iter().enumerate() {
+            if system.view().failed(k) {
                 if self.rng.gen_bool(self.pr) {
                     system.recover(id);
                     events.recovered.push(id);
@@ -121,7 +120,7 @@ impl FailureModel for RandomFailRecover {
                 if self.protect_target && id == target {
                     continue;
                 }
-                if self.protect_sources && sources.contains(&id) {
+                if self.protect_sources && system.config().sources().contains(&id) {
                     continue;
                 }
                 if self.rng.gen_bool(self.pf) {
@@ -297,7 +296,7 @@ impl FailureModel for OverloadModel {
                 events.recovered.push(cell);
             }
         }
-        let tripped = self.detector.poll(system.config(), system.state(), round);
+        let tripped = self.detector.poll(system.config(), system.view(), round);
         for (cell, action) in tripped {
             system.fail(cell);
             events.failed.push(cell);

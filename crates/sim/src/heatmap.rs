@@ -1,7 +1,7 @@
 //! Occupancy heat maps: where congestion lives on the grid.
 
 use cellflow_core::overload::CascadeTrip;
-use cellflow_core::{System, SystemConfig, SystemState};
+use cellflow_core::{StateView, System, SystemConfig};
 use cellflow_grid::{CellId, GridDims};
 
 /// Accumulates per-cell entity-rounds over a run and renders them as a
@@ -25,7 +25,7 @@ use cellflow_grid::{CellId, GridDims};
 /// let mut heat = OccupancyGrid::new(system.config().dims());
 /// for _ in 0..200 {
 ///     system.step();
-///     heat.record(system.config(), system.state());
+///     heat.record(system.config(), system.view());
 /// }
 /// // The corridor row carries all the traffic.
 /// assert!(heat.mean_occupancy(CellId::new(1, 0)) > heat.mean_occupancy(CellId::new(1, 3)));
@@ -48,16 +48,17 @@ impl OccupancyGrid {
         }
     }
 
-    /// Records one round's occupancy.
+    /// Records one round's occupancy from `state`: a `&SystemState` or a
+    /// [`StateView`] such as [`System::view`].
     ///
     /// # Panics
     ///
     /// Panics if `state` does not match the accumulator's grid.
-    pub fn record(&mut self, config: &SystemConfig, state: &SystemState) {
+    pub fn record<'a>(&mut self, config: &SystemConfig, state: impl Into<StateView<'a>>) {
+        let state = state.into();
         assert_eq!(config.dims(), self.dims, "grid mismatch");
-        for id in self.dims.iter() {
-            self.entity_rounds[self.dims.index(id)] +=
-                state.cell(self.dims, id).members.len() as u64;
+        for (k, total) in self.entity_rounds.iter_mut().enumerate() {
+            *total += state.occupancy(k) as u64;
         }
         self.rounds += 1;
     }

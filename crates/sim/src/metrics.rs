@@ -2,22 +2,25 @@
 //!
 //! The paper defines the **K-round throughput** as the number of entities
 //! arriving at the target over `K` rounds divided by `K`, and the **average
-//! throughput** as its large-`K` limit. [`Metrics`] records per-round counts
-//! so both (and windowed variants) can be computed after a run.
+//! throughput** as its large-`K` limit. [`Metrics`] records the per-round
+//! consumption series, so both (and windowed variants) can be computed after
+//! a run, and keeps running totals of everything else it counts.
 
 use cellflow_core::RoundEvents;
 
 use crate::failure::FailureEvents;
 
-/// Per-round counters accumulated over a simulation.
+/// Counters accumulated over a simulation: the per-round consumption series
+/// and running totals.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     consumed_per_round: Vec<u32>,
-    inserted_per_round: Vec<u32>,
-    blocked_per_round: Vec<u32>,
-    grants_per_round: Vec<u32>,
-    moved_per_round: Vec<u32>,
-    failures_per_round: Vec<FailureEvents>,
+    consumed: u64,
+    inserted: u64,
+    blocked: u64,
+    grants: u64,
+    failed: u64,
+    recovered: u64,
 }
 
 impl Metrics {
@@ -29,38 +32,27 @@ impl Metrics {
     /// Records one round's events.
     pub fn record(&mut self, events: &RoundEvents) {
         self.consumed_per_round.push(events.consumed.len() as u32);
-        self.inserted_per_round.push(events.inserted.len() as u32);
-        self.blocked_per_round.push(events.blocked.len() as u32);
-        self.grants_per_round.push(events.grants.len() as u32);
-        self.moved_per_round.push(events.moved.len() as u32);
+        self.consumed += events.consumed.len() as u64;
+        self.inserted += events.inserted.len() as u64;
+        self.blocked += events.blocked.len() as u64;
+        self.grants += events.grants.len() as u64;
     }
 
     /// Records the round's failure-model activity alongside the protocol
-    /// events, so traces carry *why* throughput dipped, not just that it
-    /// did. Call once per round, before or after [`Metrics::record`].
+    /// events. Call once per round, before or after [`Metrics::record`].
     pub fn record_failures(&mut self, events: &FailureEvents) {
-        self.failures_per_round.push(events.clone());
-    }
-
-    /// Per-round failure-model activity, when recorded (empty otherwise).
-    pub fn failure_history(&self) -> &[FailureEvents] {
-        &self.failures_per_round
+        self.failed += events.failed.len() as u64;
+        self.recovered += events.recovered.len() as u64;
     }
 
     /// Total cells crashed by the failure model over the run.
     pub fn failed_total(&self) -> u64 {
-        self.failures_per_round
-            .iter()
-            .map(|e| e.failed.len() as u64)
-            .sum()
+        self.failed
     }
 
     /// Total cells recovered by the failure model over the run.
     pub fn recovered_total(&self) -> u64 {
-        self.failures_per_round
-            .iter()
-            .map(|e| e.recovered.len() as u64)
-            .sum()
+        self.recovered
     }
 
     /// Rounds recorded so far (the `K` of K-round throughput).
@@ -70,22 +62,22 @@ impl Metrics {
 
     /// Total entities consumed by the target.
     pub fn consumed_total(&self) -> u64 {
-        self.consumed_per_round.iter().map(|&c| c as u64).sum()
+        self.consumed
     }
 
     /// Total entities inserted by sources.
     pub fn inserted_total(&self) -> u64 {
-        self.inserted_per_round.iter().map(|&c| c as u64).sum()
+        self.inserted
     }
 
     /// Total blocked signals (a congestion indicator).
     pub fn blocked_total(&self) -> u64 {
-        self.blocked_per_round.iter().map(|&c| c as u64).sum()
+        self.blocked
     }
 
     /// Total grants issued.
     pub fn grants_total(&self) -> u64 {
-        self.grants_per_round.iter().map(|&c| c as u64).sum()
+        self.grants
     }
 
     /// The paper's K-round throughput over *all* recorded rounds:
@@ -199,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn failure_history_accumulates() {
+    fn failure_totals_accumulate() {
         let mut m = Metrics::new();
         m.record_failures(&FailureEvents::default());
         m.record_failures(&FailureEvents {
@@ -212,9 +204,7 @@ mod tests {
             recovered: vec![CellId::new(1, 1)],
             corrupted: vec![],
         });
-        assert_eq!(m.failure_history().len(), 3);
         assert_eq!(m.failed_total(), 2);
         assert_eq!(m.recovered_total(), 1);
-        assert!(m.failure_history()[0].is_empty());
     }
 }

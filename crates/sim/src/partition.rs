@@ -193,12 +193,12 @@ pub fn run_partition_recorded(
     let mut max_components = 0u32;
     let mut components_split = render_components(
         dims,
-        &component_map(config, sim.system().state(), schedule.mask_row(0)),
+        &component_map(config, sim.system().view(), schedule.mask_row(0)),
     );
     for round in 0..total_rounds {
         sim.step();
-        occupancy.record(config, sim.system().state());
-        let comp = component_map(config, sim.system().state(), schedule.mask_row(round));
+        occupancy.record(config, sim.system().view());
+        let comp = component_map(config, sim.system().view(), schedule.mask_row(round));
         let count = comp.iter().flatten().copied().max().map_or(0, |m| m + 1);
         if count > max_components {
             max_components = count;
@@ -207,11 +207,7 @@ pub fn run_partition_recorded(
     }
     let components_final = render_components(
         dims,
-        &component_map(
-            config,
-            sim.system().state(),
-            schedule.mask_row(total_rounds),
-        ),
+        &component_map(config, sim.system().view(), schedule.mask_row(total_rounds)),
     );
 
     let recording = sim.take_recorder().map(|r| r.finish());

@@ -219,7 +219,7 @@ impl Simulation {
     /// With safety checks enabled, panics if `Safe`, Invariant 1, or
     /// Invariant 2 is violated after the round — which the protocol
     /// guarantees never happens (Theorem 5); a panic here is a bug.
-    pub fn step(&mut self) -> RoundEvents {
+    pub fn step(&mut self) -> &RoundEvents {
         let round = self.system.round();
         let mut partitioned = false;
         if let Some(schedule) = &self.partition {
@@ -227,25 +227,20 @@ impl Simulation {
             partitioned = schedule.active(round);
         }
         let failures = self.failure.apply(&mut self.system, round);
-        let events = match &self.telemetry {
-            None => self.system.step(),
-            Some(tel) => {
-                let span = tel.round_ns.start();
-                let events = self.system.step();
-                drop(span);
-                events
-            }
-        };
-        self.metrics.record(&events);
+        let span = self.telemetry.as_ref().map(|tel| tel.round_ns.start());
+        self.system.step();
+        drop(span);
+        let events = self.system.events();
+        self.metrics.record(events);
         self.metrics.record_failures(&failures);
         if let Some(tr) = &mut self.trace {
-            tr.record(round, &failures, &events);
+            tr.record(round, &failures, events);
         }
         let fresh_violations = self.violations.len();
         if !self.monitors.is_empty() {
             let ctx = MonitorCtx {
                 config: self.system.config(),
-                state: self.system.state(),
+                state: self.system.view(),
                 round: self.system.round(),
                 failed: &failures.failed,
                 recovered: &failures.recovered,
@@ -270,13 +265,13 @@ impl Simulation {
                 None => tel.observe_round(
                     round + 1,
                     &failures,
-                    &events,
+                    events,
                     &self.violations[fresh_violations..],
                 ),
                 Some(tracer) => tel.observe_round_traced(
                     round + 1,
                     &failures,
-                    &events,
+                    events,
                     &self.violations[fresh_violations..],
                     tracer,
                     self.system.round_trace(),
@@ -284,7 +279,7 @@ impl Simulation {
             }
         }
         if self.check_safety {
-            let (cfg, st) = (self.system.config(), self.system.state());
+            let (cfg, st) = (self.system.config(), self.system.view());
             if let Err(v) = safety::check_safe(cfg, st) {
                 panic!("safety violated at round {round}: {v}");
             }

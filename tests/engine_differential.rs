@@ -125,7 +125,7 @@ proptest! {
                 }
             }
             let (next, legacy_events) = update(&cfg, &state, round);
-            let engine_events = sys.step();
+            let engine_events = sys.step().clone();
             state = next;
             prop_assert_eq!(
                 sys.state(),

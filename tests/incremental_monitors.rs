@@ -177,7 +177,7 @@ impl Suite {
     fn observe(&mut self, sys: &System, r: &Round<'_>, changed: Option<&[u32]>) -> Verdict {
         let ctx = MonitorCtx {
             config: sys.config(),
-            state: sys.state(),
+            state: sys.view(),
             round: r.round,
             failed: r.failed,
             recovered: r.recovered,

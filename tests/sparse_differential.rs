@@ -121,7 +121,7 @@ impl Variant {
     fn observe(&mut self, cfg: &SystemConfig, round: u64, corrupted: &[CellId]) {
         let ctx = MonitorCtx {
             config: cfg,
-            state: self.system.state(),
+            state: self.system.view(),
             round: round + 1,
             failed: &[],
             recovered: &[],
@@ -215,8 +215,8 @@ proptest! {
                 }
             }
 
-            let dense_events = dense.system.step();
-            let sparse_events = sparse.system.step();
+            let dense_events = dense.system.step().clone();
+            let sparse_events = sparse.system.step().clone();
             prop_assert_eq!(
                 sparse.system.state(),
                 dense.system.state(),
